@@ -69,24 +69,6 @@ func benchmarkFleet(b *testing.B, parallel int) {
 func BenchmarkFleetThroughputSerial(b *testing.B)   { benchmarkFleet(b, 1) }
 func BenchmarkFleetThroughputParallel(b *testing.B) { benchmarkFleet(b, 0) }
 
-// BenchmarkFleetThroughputLockstep is the same serial fleet on the
-// retained lockstep scheduler — the delta against Serial (now the
-// lookahead default) is what conservative lookahead buys at this scale.
-func BenchmarkFleetThroughputLockstep(b *testing.B) {
-	cfg := benchConfig(b, 1)
-	cfg.Sched = SchedLockstep
-	total := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		total += Run(cfg).Routed
-	}
-	b.StopTimer()
-	if total == 0 {
-		b.Fatal("fleet routed nothing")
-	}
-	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "requests/s")
-}
-
 // scalingConfig holds per-node offered load constant while the fleet
 // grows, so the sweep measures scheduler scaling, not a shrinking
 // utilization.
@@ -117,39 +99,50 @@ func scalingConfig(b *testing.B, nodes int) Config {
 	}
 }
 
-// BenchmarkFleetScaling is the scheduler sweep: fleet sizes 4/16/64 under
-// the serial lockstep baseline, the parallel lockstep barrier, the
-// conservative-lookahead scheduler, and the event-horizon scheduler (the
-// default). All four produce identical results (see
-// TestLookaheadLockstepMatrixIdentical); only wall time differs.
+// BenchmarkFleetScaling is the fleet-size sweep: 4/16/64 nodes at
+// constant per-node load on the event-horizon scheduler with a
+// GOMAXPROCS worker pool.
 func BenchmarkFleetScaling(b *testing.B) {
-	modes := []struct {
-		name  string
-		sched Sched
-		par   int
-	}{
-		{"serial", SchedLockstep, 1},
-		{"lockstep", SchedLockstep, 0},
-		{"lookahead", SchedLookahead, 0},
-		{"event-horizon", SchedEventHorizon, 0},
-	}
 	for _, nodes := range []int{4, 16, 64} {
-		for _, mode := range modes {
-			b.Run(fmt.Sprintf("nodes=%d/%s", nodes, mode.name), func(b *testing.B) {
-				cfg := scalingConfig(b, nodes)
-				cfg.Sched = mode.sched
-				cfg.Parallel = mode.par
-				total := 0
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					total += Run(cfg).Routed
-				}
-				b.StopTimer()
-				if total == 0 {
-					b.Fatal("fleet routed nothing")
-				}
-				b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "requests/s")
-			})
+		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) {
+			cfg := scalingConfig(b, nodes)
+			total := 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				total += Run(cfg).Routed
+			}
+			b.StopTimer()
+			if total == 0 {
+				b.Fatal("fleet routed nothing")
+			}
+			b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "requests/s")
+		})
+	}
+}
+
+// routingBench builds a standing eight-replica set with full latency
+// windows for the isolated routing-decision benchmark and its alloc guard.
+func routingBench(pol Policy) (*router, *modelState) {
+	r := newRouter(pol, 1, 1<<30, 0, nil, false)
+	m := &modelState{name: "m", batch: 8, sloUs: 20000}
+	for i := 0; i < 8; i++ {
+		h := &replicaHandle{id: i}
+		for j := 0; j < 64; j++ {
+			h.lat.add(float64(5000 + i*100 + j))
+		}
+		m.replicas = append(m.replicas, h)
+	}
+	return r, m
+}
+
+// routingStep is one routing decision: pick plus the occupancy it books,
+// reset before the counters can skew the policies' scores for good.
+func routingStep(r *router, m *modelState) {
+	h := r.pick(m, 0, -1)
+	h.outstanding++
+	if h.outstanding > 1<<20 {
+		for _, rh := range m.replicas {
+			rh.outstanding = 0
 		}
 	}
 }
@@ -159,24 +152,10 @@ func BenchmarkFleetScaling(b *testing.B) {
 func BenchmarkFleetRoutingDecision(b *testing.B) {
 	for _, pol := range Policies() {
 		b.Run(pol.String(), func(b *testing.B) {
-			r := newRouter(pol, 1, 1<<30, 0, nil, false)
-			m := &modelState{name: "m", batch: 8, sloUs: 20000}
-			for i := 0; i < 8; i++ {
-				h := &replicaHandle{id: i}
-				for j := 0; j < 64; j++ {
-					h.lat.add(float64(5000 + i*100 + j))
-				}
-				m.replicas = append(m.replicas, h)
-			}
+			r, m := routingBench(pol)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				h := r.pick(m, 0, -1)
-				h.outstanding++
-				if h.outstanding > 1<<20 {
-					for _, rh := range m.replicas {
-						rh.outstanding = 0
-					}
-				}
+				routingStep(r, m)
 			}
 		})
 	}

@@ -6,11 +6,11 @@
 // KRISP right-sizes kernels on one GPU; serving millions of users takes
 // many GPUs across many nodes, and the decisions that matter there are
 // which partition of which GPU serves each request (ParvaGPU's regime) and
-// when placements change. The fleet controller advances every node in
-// lockstep ticks: requests arrive from deterministic workload generators,
-// the router admits and places them, nodes simulate concurrently (each
-// owns its engine, so parallel advancement is byte-identical to serial),
-// and at epoch boundaries the autoscaler replans against the trace, paying
+// when placements change. The fleet controller runs in fixed ticks:
+// requests arrive from deterministic workload generators, the router
+// admits and places them, nodes simulate concurrently (each owns its
+// engine, so parallel advancement is byte-identical to serial), and at
+// epoch boundaries the autoscaler replans against the trace, paying
 // reconfig costs for migrations and draining replicas on injected node
 // faults.
 package cluster
@@ -84,12 +84,6 @@ type Config struct {
 	// way — each node owns its engine and RNGs, and the router only sees
 	// completions pulled at tick boundaries.
 	Parallel int
-	// Sched selects the advancement scheduler. The zero value is
-	// SchedLookahead: nodes advance only when they can act before the tick
-	// horizon, with cross-node effects carried by timestamped mailboxes.
-	// SchedLockstep keeps the per-tick barrier over every up node. Both
-	// produce byte-identical results at any Parallel setting.
-	Sched Sched
 	// Telemetry, when non-nil, exposes fleet gauges and counters (and the
 	// per-node serving stacks) on the hub's registry.
 	Telemetry *telemetry.Hub
@@ -220,7 +214,7 @@ type fleetNode struct {
 	// Event-horizon scheduler state: the node's position and key in the
 	// fleet's wake heap (heapIdx -1 when out — down, or mid-advancement),
 	// and the heap itself so mail posts can lower the key in place. hz is
-	// nil under the other schedulers.
+	// nil under the lockstep oracle, which posts no mail.
 	wake    sim.Time
 	heapIdx int
 	hz      *wakeHeap
@@ -259,9 +253,9 @@ type Fleet struct {
 	killedBuf   []*replicaHandle
 
 	// now is the router-phase clock (the current tick's start), the lower
-	// bound lookahead sends clamp their delivery timestamps to; pool and
-	// activeBuf are the lookahead/event-horizon schedulers' persistent
-	// workers and per-tick active-node scratch.
+	// bound mailbox sends clamp their delivery timestamps to; pool and
+	// activeBuf are the event-horizon scheduler's persistent workers and
+	// per-tick active-node scratch.
 	now       sim.Time
 	pool      *parallel.Pool
 	activeBuf []*fleetNode
@@ -272,6 +266,13 @@ type Fleet struct {
 	// completion pull (the condition that forces a full router phase).
 	hz    *wakeHeap
 	dirty bool
+
+	// lockstep swaps the event-horizon scheduler for the reference one:
+	// every up node advances to each tick barrier, and sends schedule
+	// closures on node engines instead of posting mail. Only this
+	// package's tests set it, as the oracle the scheduler matrices compare
+	// against.
+	lockstep bool
 }
 
 // complPair is one pulled completion with its handle, buffered so gateway
@@ -493,14 +494,10 @@ func New(cfg Config) *Fleet {
 
 // Run executes the fleet experiment and returns its result.
 func (f *Fleet) Run() *Result {
-	eventDriven := f.cfg.Sched == SchedEventHorizon
-	mailboxed := eventDriven || f.cfg.Sched == SchedLookahead
-	if mailboxed {
+	if !f.lockstep {
 		f.router.mailbox = true
-		f.pool = f.newAdvancePool()
+		f.pool = parallel.NewPool(f.cfg.Parallel)
 		defer f.pool.Close()
-	}
-	if eventDriven {
 		f.hz = &wakeHeap{}
 		for _, n := range f.nodes {
 			n.hz = f.hz
@@ -511,7 +508,7 @@ func (f *Fleet) Run() *Result {
 	for tick := 0; tick < ticks; tick++ {
 		now := sim.Time(tick) * f.cfg.Tick
 		f.now = now
-		if eventDriven && f.canSkipPhases(now) {
+		if !f.lockstep && f.canSkipPhases(now) {
 			// The whole router phase is provably a no-op; only the tick's
 			// arrival draws (mandatory for RNG parity) and any due node
 			// advancement remain. Arrivals, if any, route through the same
@@ -520,9 +517,7 @@ func (f *Fleet) Run() *Result {
 			if f.genArrivals(now, now+f.cfg.Tick) {
 				f.mergeRoute(now)
 			}
-			if f.settleEvent(now + f.cfg.Tick) {
-				f.dirty = true
-			}
+			f.advance(now + f.cfg.Tick)
 			continue
 		}
 		f.pullCompletions(now)
@@ -540,28 +535,19 @@ func (f *Fleet) Run() *Result {
 			f.gw.HedgeScan(now)
 		}
 		f.observe()
-		switch {
-		case eventDriven:
-			if f.settleEvent(now + f.cfg.Tick) {
-				f.dirty = true
-			}
-		case mailboxed:
-			f.settle(now + f.cfg.Tick)
-		default:
-			f.advance(now + f.cfg.Tick)
-		}
+		f.advance(now + f.cfg.Tick)
 	}
 	f.now = f.cfg.Duration
 	f.pullCompletions(f.cfg.Duration)
-	if mailboxed {
-		// Settled nodes may have been skipped for many ticks; their frozen
-		// state is already final, but the energy integration reads each
-		// node's clock, so fast-forward the stragglers to the end of the
-		// run. No events fire — a skipped node proved it had none due.
-		for _, n := range f.nodes {
-			if n.up {
-				n.node.RunUntil(f.cfg.Duration)
-			}
+	// Nodes the event-horizon scheduler left idle may lag by many ticks;
+	// their frozen state is already final, but the energy integration
+	// reads each node's clock, so fast-forward the stragglers to the end
+	// of the run. No events fire — a skipped node proved it had none due,
+	// and the lockstep oracle already ran every up node to the last tick
+	// barrier.
+	for _, n := range f.nodes {
+		if n.up {
+			n.node.RunUntil(f.cfg.Duration)
 		}
 	}
 	f.finish()
@@ -1006,11 +992,17 @@ func (f *Fleet) observe() {
 	f.tel.setLaggards(&lagIDs, &lagDepths, lagN)
 }
 
-// advance runs every up node to t, concurrently when configured. Nodes
-// share nothing — each owns its engine, devices, and RNGs — so the merge
-// is trivially deterministic: results are read back in node order after
-// the barrier.
+// advance moves the fleet's nodes to the tick barrier t. The event-horizon
+// scheduler advances only the nodes whose wake falls inside it; the
+// lockstep oracle runs every up node to t. Nodes share nothing — each owns
+// its engine, devices, and RNGs — so either fan-out is deterministic.
 func (f *Fleet) advance(t sim.Time) {
+	if !f.lockstep {
+		if f.settleEvent(t) {
+			f.dirty = true
+		}
+		return
+	}
 	up := make([]*fleetNode, 0, len(f.nodes))
 	for _, n := range f.nodes {
 		if n.up {

@@ -420,10 +420,26 @@ func TestGatewayTelemetryMirrorsStats(t *testing.T) {
 	}
 }
 
-func BenchmarkGatewayAdmission(b *testing.B) {
+// admissionBench is a gateway whose buckets never run dry, so every Admit
+// takes the full admit path.
+func admissionBench() *Gateway {
 	fab := &fakeFabric{picks: []int{1}, bestUs: 100}
 	g := New(Config{GlobalRatePerSec: 1e12, GlobalBurst: 1e12}, testModels(), fab, nil)
 	g.BeginTick(0)
+	return g
+}
+
+// TestAdmitZeroAlloc guards the admission hot path: one Admit allocates
+// nothing.
+func TestAdmitZeroAlloc(t *testing.T) {
+	g := admissionBench()
+	if allocs := testing.AllocsPerRun(100, func() { g.Admit(0, 0, 0, 0) }); allocs != 0 {
+		t.Fatalf("Admit allocates %.1f/op, want 0", allocs)
+	}
+}
+
+func BenchmarkGatewayAdmission(b *testing.B) {
+	g := admissionBench()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

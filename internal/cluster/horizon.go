@@ -21,9 +21,8 @@ import "krisp/internal/sim"
 //     on stranded mail), so the post-advance wake is just the engine's
 //     next event time.
 //
-// settle then pops exactly the nodes whose wake lies inside the granted
-// horizon: O(active log n) per tick instead of the lookahead scheduler's
-// O(n) fleet scan, which is the cost that erased its edge at 64 nodes.
+// settleEvent then pops exactly the nodes whose wake lies inside the
+// granted horizon: O(active log n) per tick rather than an O(n) fleet scan.
 type wakeHeap struct {
 	nodes []*fleetNode
 }
@@ -143,14 +142,10 @@ func nodeWake(n *fleetNode) sim.Time {
 	return sim.Never
 }
 
-// noteMail lowers the node's wake to a just-posted mail delivery. A no-op
-// outside event-horizon mode (hz nil) — the lookahead scan checks
-// MailboxLen itself — and for nodes not currently in the heap.
-func (n *fleetNode) noteMail(deliver sim.Time) {
-	if n.hz != nil {
-		n.hz.lower(n, deliver)
-	}
-}
+// noteMail lowers the node's wake to a just-posted mail delivery. Only the
+// event-horizon scheduler posts mail, so hz is always set here; nodes not
+// currently in the heap just record the earlier wake.
+func (n *fleetNode) noteMail(deliver sim.Time) { n.hz.lower(n, deliver) }
 
 // settleEvent is the event-horizon advancement phase: pop every node whose
 // wake lies at or inside the horizon, advance them through the worker

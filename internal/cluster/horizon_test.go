@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -10,12 +11,35 @@ import (
 	"krisp/internal/sim"
 )
 
-// lookaheadScenarios are the configurations the determinism matrix replays
-// under every scheduler and worker count: a faulty bare-router fleet, the
+// runFleet runs cfg at the given worker count with routing recorded, on
+// the lockstep oracle when lockstep is set and on the event-horizon
+// scheduler otherwise.
+func runFleet(cfg Config, lockstep bool, workers int) *Result {
+	cfg.Parallel = workers
+	cfg.RecordRouting = true
+	f := New(cfg)
+	f.lockstep = lockstep
+	return f.Run()
+}
+
+// requireIdentical fails unless got matches want byte for byte: routing
+// log and full Result, energy included.
+func requireIdentical(t *testing.T, label string, want, got *Result) {
+	t.Helper()
+	if got.RoutingLog != want.RoutingLog {
+		t.Fatalf("%s: routing log diverged from the lockstep oracle", label)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: result diverged:\noracle: %+v\ngot:    %+v", label, want, got)
+	}
+}
+
+// oracleScenarios are the configurations the scheduler matrix replays on
+// both schedulers and every worker count: a faulty bare-router fleet, the
 // gateway chaos composition with hedges, retries, breakers and node loss,
-// and a calm fleet where most ticks find most nodes settled (the case the
-// lookahead scheduler actually skips work on).
-func lookaheadScenarios(t *testing.T) map[string]func() Config {
+// and a calm fleet where most ticks find most nodes idle (the case the
+// event-horizon scheduler actually skips work on).
+func oracleScenarios(t *testing.T) map[string]func() Config {
 	t.Helper()
 	return map[string]func() Config{
 		"faults": func() Config {
@@ -37,7 +61,7 @@ func lookaheadScenarios(t *testing.T) map[string]func() Config {
 		},
 		"sparse": func() Config {
 			// Light load on a wide fleet: whole ticks pass with idle nodes,
-			// so settled-node skipping and lagging clocks (including the
+			// so skipped router phases and lagging clocks (including the
 			// final energy fast-forward) are all on the hot path.
 			cfg := baseConfig(t)
 			cfg.Nodes = 6
@@ -47,58 +71,28 @@ func lookaheadScenarios(t *testing.T) map[string]func() Config {
 	}
 }
 
-// TestLookaheadLockstepMatrixIdentical is the tentpole's correctness
-// oracle: for every scenario, the lookahead scheduler at every worker
+// TestEventHorizonLockstepMatrixIdentical is the scheduler's correctness
+// oracle: for every scenario, the event-horizon scheduler at every worker
 // count must be byte-identical — routing log and full result, energy
 // included — to the serial lockstep fleet. Run under -race this also
-// proves settle rounds share nothing across workers.
-func TestLookaheadLockstepMatrixIdentical(t *testing.T) {
-	for name, mk := range lookaheadScenarios(t) {
+// proves advancement rounds share nothing across workers.
+func TestEventHorizonLockstepMatrixIdentical(t *testing.T) {
+	for name, mk := range oracleScenarios(t) {
 		t.Run(name, func(t *testing.T) {
-			run := func(s Sched, workers int) *Result {
-				cfg := mk()
-				cfg.Sched = s
-				cfg.Parallel = workers
-				cfg.RecordRouting = true
-				return Run(cfg)
-			}
-			oracle := run(SchedLockstep, 1)
+			oracle := runFleet(mk(), true, 1)
 			if oracle.RoutingLog == "" {
 				t.Fatal("no routing decisions recorded")
 			}
 			if oracle.Completed == 0 {
 				t.Fatal("degenerate scenario: nothing completed")
 			}
-			for _, sched := range []Sched{SchedLookahead, SchedEventHorizon} {
-				for _, workers := range []int{1, 0, 2, 8} {
-					got := run(sched, workers)
-					if got.RoutingLog != oracle.RoutingLog {
-						t.Fatalf("%v workers=%d: routing log diverged from serial lockstep", sched, workers)
-					}
-					if !reflect.DeepEqual(got, oracle) {
-						t.Fatalf("%v workers=%d: results diverged:\nlockstep: %+v\n%v: %+v",
-							sched, workers, oracle, sched, got)
-					}
-				}
+			for _, workers := range []int{1, 0, 2, 8} {
+				requireIdentical(t, fmt.Sprintf("event-horizon workers=%d", workers),
+					oracle, runFleet(mk(), false, workers))
 			}
 			// The lockstep pool itself must also still be order-independent.
-			if got := run(SchedLockstep, 8); !reflect.DeepEqual(got, oracle) {
-				t.Fatal("lockstep workers=8 diverged from lockstep serial")
-			}
+			requireIdentical(t, "lockstep workers=8", oracle, runFleet(mk(), true, 8))
 		})
-	}
-}
-
-// TestSchedNames pins the scheduler name round-trip the CLI flag relies on.
-func TestSchedNames(t *testing.T) {
-	for _, s := range Scheds() {
-		got, err := SchedByName(s.String())
-		if err != nil || got != s {
-			t.Fatalf("SchedByName(%q) = %v, %v", s.String(), got, err)
-		}
-	}
-	if _, err := SchedByName("bogus"); err == nil {
-		t.Fatal("SchedByName accepted an unknown scheduler")
 	}
 }
 

@@ -1,7 +1,7 @@
 package cluster
 
 import (
-	"reflect"
+	"fmt"
 	"testing"
 
 	"krisp/internal/cluster/workload"
@@ -160,11 +160,11 @@ func TestLLMPerPhaseBeatsShared(t *testing.T) {
 
 // TestLLMMatrixIdentical is the LLM determinism guarantee: a disaggregated
 // continuous-batching fleet (plus a classic model sharing the merge) must
-// produce byte-identical routing logs and results across every scheduler
-// and worker count, with journey sampling on. Run under -race this also
+// produce byte-identical routing logs and results on both schedulers and
+// every worker count, with journey sampling on. Run under -race this also
 // proves token-boundary joins stay on the node goroutines.
 func TestLLMMatrixIdentical(t *testing.T) {
-	run := func(sched Sched, workers int, obs *Observability) *Result {
+	run := func(lockstep bool, workers int, obs *Observability) *Result {
 		cfg := llmDisaggConfig()
 		sq, _ := models.ByName("squeezenet")
 		cfg.Workloads = append(cfg.Workloads, Workload{
@@ -173,14 +173,11 @@ func TestLLMMatrixIdentical(t *testing.T) {
 			Gen:   workload.Constant{RatePerSec: 400},
 		})
 		cfg.Policy = SLOAware
-		cfg.Sched = sched
-		cfg.Parallel = workers
-		cfg.RecordRouting = true
 		cfg.Obs = obs
-		return Run(cfg)
+		return runFleet(cfg, lockstep, workers)
 	}
 
-	base := run(SchedLockstep, 1, nil)
+	base := run(true, 1, nil)
 	if base.RoutingLog == "" {
 		t.Fatal("no routing decisions recorded")
 	}
@@ -188,16 +185,10 @@ func TestLLMMatrixIdentical(t *testing.T) {
 		t.Fatal("matrix scenario exercised no handoffs")
 	}
 	obs := &Observability{SampleEvery: 1, Monitors: true, FlightCap: 32}
-	for _, sched := range []Sched{SchedLockstep, SchedLookahead, SchedEventHorizon} {
+	for _, lockstep := range []bool{true, false} {
 		for _, workers := range []int{1, 0, 8} {
-			got := run(sched, workers, obs)
-			if got.RoutingLog != base.RoutingLog {
-				t.Fatalf("sched=%v workers=%d: routing log diverged", sched, workers)
-			}
-			if !reflect.DeepEqual(got, base) {
-				t.Fatalf("sched=%v workers=%d: result diverged:\nbase: %+v\ngot:  %+v",
-					sched, workers, base, got)
-			}
+			requireIdentical(t, fmt.Sprintf("lockstep=%v workers=%d", lockstep, workers),
+				base, run(lockstep, workers, obs))
 		}
 	}
 }

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 
 	"krisp/internal/cluster/gateway"
@@ -34,17 +33,14 @@ func grayBurn() telemetry.BurnConfig {
 
 // TestJourneyMatrixIdentical is the observability determinism guarantee:
 // full journey sampling plus burn-rate monitors must leave the routing log
-// and the entire Result byte-identical to an unobserved run — across every
-// scheduler and worker count, with the gateway's hedging and a node fault
-// in play. Run under -race this also proves the observer stays on the
-// control goroutine.
+// and the entire Result byte-identical to an unobserved lockstep run — on
+// both schedulers and every worker count, with the gateway's hedging and a
+// node fault in play. Run under -race this also proves the observer stays
+// on the control goroutine.
 func TestJourneyMatrixIdentical(t *testing.T) {
-	run := func(sched Sched, workers int, obs *Observability) *Result {
+	run := func(lockstep bool, workers int, obs *Observability) *Result {
 		cfg := baseConfig(t)
 		cfg.Policy = SLOAware
-		cfg.Sched = sched
-		cfg.Parallel = workers
-		cfg.RecordRouting = true
 		cfg.Gateway = &gateway.Config{}
 		cfg.Obs = obs
 		cfg.NodeFaults = []faults.NodeFault{
@@ -52,24 +48,18 @@ func TestJourneyMatrixIdentical(t *testing.T) {
 			{At: 140 * sim.Millisecond, Node: 2, Kind: faults.NodeDown,
 				Duration: 80 * sim.Millisecond},
 		}
-		return Run(cfg)
+		return runFleet(cfg, lockstep, workers)
 	}
 
-	base := run(SchedLockstep, 1, nil)
+	base := run(true, 1, nil)
 	if base.RoutingLog == "" {
 		t.Fatal("no routing decisions recorded")
 	}
 	obs := &Observability{SampleEvery: 1, Monitors: true, FlightCap: 32}
-	for _, sched := range []Sched{SchedLockstep, SchedLookahead, SchedEventHorizon} {
+	for _, lockstep := range []bool{true, false} {
 		for _, workers := range []int{1, 0, 8} {
-			got := run(sched, workers, obs)
-			if got.RoutingLog != base.RoutingLog {
-				t.Fatalf("sched=%v workers=%d: journeys changed the routing log", sched, workers)
-			}
-			if !reflect.DeepEqual(got, base) {
-				t.Fatalf("sched=%v workers=%d: journeys changed the result:\nbase: %+v\ngot:  %+v",
-					sched, workers, base, got)
-			}
+			requireIdentical(t, fmt.Sprintf("journeys lockstep=%v workers=%d", lockstep, workers),
+				base, run(lockstep, workers, obs))
 		}
 	}
 }
@@ -267,7 +257,7 @@ func TestRouteJourneysOffZeroAlloc(t *testing.T) {
 }
 
 // BenchmarkRouteWithJourneys measures the routing decision under the three
-// sampling regimes the bench.sh overhead section tracks. The sampled
+// sampling regimes BENCH_PR9.json's overhead section recorded. The sampled
 // variants complete each journey immediately so the pooled records recycle,
 // as they do steady-state in a live fleet.
 func BenchmarkRouteWithJourneys(b *testing.B) {
@@ -313,7 +303,6 @@ func BenchmarkFleetScalingJourneys(b *testing.B) {
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			cfg := scalingConfig(b, 16)
-			cfg.Sched = SchedEventHorizon
 			cfg.Parallel = 0
 			cfg.Obs = bc.obs
 			total := 0

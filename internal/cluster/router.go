@@ -232,11 +232,12 @@ type router struct {
 	gw     *gateway.Gateway
 	reqSeq uint64 // request identity allocator (gateway mode; ids start at 1)
 
-	// mailbox switches sends from scheduling closures on node engines to
-	// posting timestamped mail (the lookahead scheduler's transport). The
-	// delivery timestamp is clamped to the router clock — the same clamp
-	// Schedule applied against the node clock under lockstep, where the two
-	// clocks were equal at every router phase.
+	// mailbox switches sends from scheduling closures on node engines (the
+	// lockstep oracle's transport) to posting timestamped mail (the
+	// event-horizon scheduler's). The delivery timestamp is clamped to the
+	// router clock — the same clamp Schedule applies against the node
+	// clock under lockstep, where the two clocks are equal at every router
+	// phase.
 	mailbox bool
 
 	// epoch versions the replica sets: every control-plane mutation that can

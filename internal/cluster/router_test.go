@@ -240,3 +240,15 @@ func TestFeasibleUsNoBacklogDoubleCount(t *testing.T) {
 		t.Fatalf("predictUs = %v, must penalise backlog for ranking", got)
 	}
 }
+
+// TestRoutingDecisionZeroAlloc guards the router's cached candidate sets:
+// a steady-state routing decision allocates nothing under any policy.
+func TestRoutingDecisionZeroAlloc(t *testing.T) {
+	for _, pol := range Policies() {
+		r, m := routingBench(pol)
+		routingStep(r, m) // build the cached ready set
+		if allocs := testing.AllocsPerRun(1000, func() { routingStep(r, m) }); allocs != 0 {
+			t.Errorf("%v: routing decision allocates %.1f/op, want 0", pol, allocs)
+		}
+	}
+}

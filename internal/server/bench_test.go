@@ -10,24 +10,52 @@ import (
 	"krisp/internal/sim"
 )
 
-// BenchmarkServeOneBatchKRISP measures the end-to-end simulation cost per
-// served batch (virtual serving of squeezenet under KRISP-I).
-func BenchmarkServeOneBatchKRISP(b *testing.B) {
+// serveOneBatch returns the KRISP-I squeezenet serve config measured by
+// BenchmarkServeOneBatchKRISP and guarded by TestServeRunAllocs.
+func serveOneBatch(tb testing.TB) func(seed int64) Config {
 	m, ok := models.ByName("squeezenet")
 	if !ok {
-		b.Fatal("model missing")
+		tb.Fatal("model missing")
 	}
 	db := BuildDB(gpuSpecDefault(), []WorkerSpec{{Model: m, Batch: 32}})
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Run(Config{
+	return func(seed int64) Config {
+		return Config{
 			Policy:  policies.KRISPI,
 			Workers: []WorkerSpec{{Model: m, Batch: 32}},
 			DB:      db,
-			Seed:    int64(i),
+			Seed:    seed,
 			Warmup:  8_000,
 			Measure: 80_000,
-		})
+		}
+	}
+}
+
+// BenchmarkServeOneBatchKRISP measures the end-to-end simulation cost per
+// served batch (virtual serving of squeezenet under KRISP-I).
+func BenchmarkServeOneBatchKRISP(b *testing.B) {
+	mk := serveOneBatch(b)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		Run(mk(int64(i)))
+	}
+}
+
+// TestServeRunAllocs guards the pooled run context: once warm, a whole
+// serve run stays at or under 20 allocations. The deterministic stackPool
+// stands in for sync.Pool, which drops Puts under the race detector, so
+// the bound holds with and without -race.
+func TestServeRunAllocs(t *testing.T) {
+	defer func(p statePool) { runPool = p }(runPool)
+	runPool = &stackPool{}
+	mk := serveOneBatch(t)
+	seed := int64(0)
+	Run(mk(seed)) // warm the pool
+	allocs := testing.AllocsPerRun(20, func() {
+		seed++
+		Run(mk(seed))
+	})
+	if allocs > 20 {
+		t.Fatalf("serve run allocates %.1f/run, want at most 20", allocs)
 	}
 }
 

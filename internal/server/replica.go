@@ -68,12 +68,12 @@ type Node struct {
 	replicaFree [][]*Replica
 	replicaSeq  int64
 
-	// mail is the node's cross-node command inbox for lookahead
-	// scheduling: the cluster's router phase posts timestamped request
+	// mail is the node's cross-node command inbox for the cluster's
+	// event-horizon scheduler: the router phase posts timestamped request
 	// deliveries here instead of scheduling closures, and AdvanceTo
 	// ingests them before advancing the clock. mailSeq stamps posting
-	// order so simultaneous commands replay in exactly the order a
-	// lockstep router would have scheduled them; mailIdx is the pump's
+	// order so simultaneous commands replay in exactly the order the
+	// lockstep oracle's router schedules them; mailIdx is the pump's
 	// progress cursor through the sorted batch.
 	mail    []mail
 	mailSeq uint64
@@ -185,7 +185,7 @@ func (n *Node) RunUntil(t sim.Time) { n.eng.RunUntil(t) }
 
 // Schedule runs fn on the node's clock at time t (clamped to now if t has
 // already passed). The cluster layer uses it to deliver requests at their
-// exact arrival timestamps between lockstep advances.
+// exact arrival timestamps between the lockstep oracle's advances.
 func (n *Node) Schedule(t sim.Time, fn func()) {
 	if t < n.eng.Now() {
 		t = n.eng.Now()
@@ -215,9 +215,9 @@ type mail struct {
 // PostSubmit queues one request delivery for the replica, to be ingested
 // by the next AdvanceTo. The caller (the cluster's router phase) must post
 // with deliver no earlier than the node's last granted horizon —
-// lockstep's Schedule clamped past arrivals to the node clock, so
-// lookahead callers clamp to the router's own clock before posting. id 0
-// means an untracked request (Submit); nonzero a tracked copy (SubmitID).
+// Schedule clamps past arrivals to the node clock, so mailbox callers
+// clamp to the router's own clock before posting. id 0 means an
+// untracked request (Submit); nonzero a tracked copy (SubmitID).
 func (n *Node) PostSubmit(deliver, arrival sim.Time, r *Replica, id uint64) {
 	n.mailSeq++
 	n.mail = append(n.mail, mail{deliver: deliver, arrival: arrival, seq: n.mailSeq, rep: r, id: id})
@@ -237,19 +237,15 @@ func (n *Node) PostSubmitSeq(deliver, arrival sim.Time, r *Replica, id uint64, p
 	})
 }
 
-// MailboxLen returns the number of posted, not-yet-ingested commands. A
-// node with pending mail can never be skipped by a lookahead grant.
-func (n *Node) MailboxLen() int { return len(n.mail) }
-
-// NextEventTime exposes the engine's earliest pending event — the lower
-// bound the lookahead scheduler combines with MailboxLen to prove the node
-// cannot act before a horizon.
+// NextEventTime exposes the engine's earliest pending event — the wake
+// key the event-horizon scheduler files an idle node under until mail
+// lowers it.
 func (n *Node) NextEventTime() (sim.Time, bool) { return n.eng.NextEventTime() }
 
 // pump applies every mailbox command whose timestamp has arrived. It runs
 // as an engine event (one firing per distinct command timestamp), so the
-// deliveries interleave with the node's own events exactly where a
-// lockstep router's per-command closures would have.
+// deliveries interleave with the node's own events exactly where the
+// lockstep oracle's per-command closures do.
 func (n *Node) pump() {
 	now := n.eng.Now()
 	for n.mailIdx < len(n.mail) && n.mail[n.mailIdx].deliver <= now {
@@ -265,7 +261,7 @@ func (n *Node) pump() {
 
 // AdvanceTo ingests the mailbox and advances the node's clock to t, firing
 // every event with timestamp <= t. Commands are replayed in (time, posting
-// order) — byte-identical to a lockstep router scheduling each command as
+// order) — byte-identical to the lockstep oracle scheduling each command as
 // its own closure, because the pump events are created before any
 // event the advancement itself schedules and therefore rank first among
 // ties, exactly like the router-phase closures did. Every posted command

@@ -1,8 +1,8 @@
 package sim
 
 // Engine microbenchmarks tracking the allocation-lean hot path. All report
-// allocs/op; scripts/bench.sh records them into BENCH_PR2.json so the perf
-// trajectory is visible across PRs.
+// allocs/op. BENCH_PR2.json records the seed-to-PR2 numbers; the engine's
+// zero-alloc guarantees are asserted by the tests in engine_test.go.
 //
 // BenchmarkEngineScheduleAndRun (engine_test.go) keeps the seed-era shape —
 // a fresh engine per iteration — so numbers stay comparable across the
@@ -53,8 +53,8 @@ func BenchmarkCancelReschedule(b *testing.B) {
 	e.Run()
 }
 
-// BenchmarkHorizonProbe measures the lookahead scheduler's inner loop: a
-// NextEventTime probe followed by a bounded RunUntil on a warm engine —
+// BenchmarkHorizonProbe measures the event-horizon scheduler's per-node
+// step: a NextEventTime probe followed by a bounded RunUntil on a warm engine —
 // the per-node cost of proving "this node cannot act before the horizon".
 // Must stay 0 allocs/op like the rest of the engine hot path.
 func BenchmarkHorizonProbe(b *testing.B) {

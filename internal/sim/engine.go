@@ -317,8 +317,8 @@ func (e *Engine) RunFor(d Duration) {
 // NextEventTime returns the timestamp of the earliest pending event, or
 // ok=false when none remain. Lazily-canceled entries surfacing at the top
 // are collected on the way, so the answer is exact — this is the lower
-// bound a lookahead scheduler uses to prove a component cannot act before
-// a horizon without running it.
+// bound an event-horizon scheduler uses to prove a component cannot act
+// before a horizon without running it.
 func (e *Engine) NextEventTime() (Time, bool) {
 	for len(e.events) > 0 {
 		if e.collectTop() {
