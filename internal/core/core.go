@@ -122,7 +122,7 @@ func NewPhaseRightSizer(prefillCUs, decodeCUs, totalCUs int) *RightSizer {
 // Size returns the partition size for a kernel: the phase-specific size
 // for tagged kernels when configured, else the fixed size if set, else
 // its profiled minCU, else the full device for unprofiled kernels.
-func (r *RightSizer) Size(d kernels.Desc) int {
+func (r *RightSizer) Size(d *kernels.Desc) int {
 	if d.Phase != kernels.PhaseNone {
 		if s := r.phase[d.Phase]; s > 0 {
 			return s
@@ -134,7 +134,7 @@ func (r *RightSizer) Size(d kernels.Desc) int {
 	if r.db == nil {
 		return r.totalCUs
 	}
-	return r.db.MinCU(d, r.totalCUs)
+	return r.db.MinCU(*d, r.totalCUs)
 }
 
 // Ladder levels of the graceful-degradation ladder. A hardened runtime
@@ -310,8 +310,10 @@ func (rt *Runtime) noteIOCTLFailure() {
 }
 
 // LaunchKernel submits one kernel call. onDone fires when the kernel
-// completes on the device.
-func (rt *Runtime) LaunchKernel(d kernels.Desc, onDone func()) {
+// completes on the device. d is read before LaunchKernel returns (a retry
+// or a deferred right-sizing decision works from its own copy), so the
+// caller may reuse the descriptor's storage afterwards.
+func (rt *Runtime) LaunchKernel(d *kernels.Desc, onDone func()) {
 	seq := rt.seq
 	rt.seq++
 	switch rt.cfg.Mode {
@@ -346,7 +348,7 @@ type traceRec struct{ recorded bool }
 
 // submit dispatches a kernel (kernel-scoped iff partition > 0) and wires
 // tracing around it.
-func (rt *Runtime) submit(seq int, d kernels.Desc, partition int, onDone func()) {
+func (rt *Runtime) submit(seq int, d *kernels.Desc, partition int, onDone func()) {
 	var rec *traceRec
 	if rt.cfg.Trace != nil {
 		rec = &traceRec{}
@@ -358,12 +360,15 @@ func (rt *Runtime) submit(seq int, d kernels.Desc, partition int, onDone func())
 // attempt: bounded retry with exponential backoff, then abandonment (the
 // sequence continues without the kernel — bounded degradation beats a
 // wedged stream). Returns nil when hardening is disabled, so fault-free
-// runs carry no handler and injected failures are swallowed in hsa.
-func (rt *Runtime) onFaultFor(seq int, d kernels.Desc, partition, attempt int, rec *traceRec, onDone func()) func() {
+// runs carry no handler and injected failures are swallowed in hsa. The
+// retry relaunches a copy of d taken now, so it is immune to the caller
+// reusing the descriptor's storage.
+func (rt *Runtime) onFaultFor(seq int, d *kernels.Desc, partition, attempt int, rec *traceRec, onDone func()) func() {
 	h := rt.cfg.Hardening
 	if h == nil {
 		return nil
 	}
+	retry := *d
 	return func() {
 		if attempt >= h.MaxRetries {
 			h.Stats.KernelsAbandoned++
@@ -381,17 +386,18 @@ func (rt *Runtime) onFaultFor(seq int, d kernels.Desc, partition, attempt int, r
 		}
 		backoff := h.RetryBackoff * sim.Duration(int64(1)<<uint(attempt))
 		rt.eng.After(backoff, func() {
-			rt.submitAttempt(seq, d, partition, attempt+1, rec, onDone)
+			rt.submitAttempt(seq, &retry, partition, attempt+1, rec, onDone)
 		})
 	}
 }
 
-func (rt *Runtime) submitAttempt(seq int, d kernels.Desc, partition, attempt int, rec *traceRec, onDone func()) {
+func (rt *Runtime) submitAttempt(seq int, d *kernels.Desc, partition, attempt int, rec *traceRec, onDone func()) {
 	sig := rt.cp.GetSignal(1)
 	onFault := rt.onFaultFor(seq, d, partition, attempt, rec, onDone)
 	if rt.cfg.Trace != nil {
 		var start sim.Time
 		var granted gpu.CUMask
+		name, wgs := d.Name, d.Work.Workgroups
 		// The queue serializes kernels, so completion order matches launch
 		// order and records append in sequence. rec guards the emission:
 		// exactly one record per seq, stamped with the attempt that made it.
@@ -400,8 +406,8 @@ func (rt *Runtime) submitAttempt(seq int, d kernels.Desc, partition, attempt int
 				rec.recorded = true
 				rt.cfg.Trace.Add(trace.Record{
 					Seq:          seq,
-					Kernel:       d.Name,
-					Workgroups:   d.Work.Workgroups,
+					Kernel:       name,
+					Workgroups:   wgs,
 					MinCU:        partition,
 					AllocatedCUs: granted.Count(),
 					Attempt:      attempt,
@@ -417,7 +423,7 @@ func (rt *Runtime) submitAttempt(seq int, d kernels.Desc, partition, attempt int
 		})
 		rt.queue.Submit(hsa.Packet{
 			Type:         hsa.KernelDispatch,
-			Kernel:       d,
+			Kernel:       *d,
 			PartitionCUs: partition,
 			OverlapLimit: rt.cfg.OverlapLimit,
 			Completion:   sig,
@@ -434,7 +440,7 @@ func (rt *Runtime) submitAttempt(seq int, d kernels.Desc, partition, attempt int
 	}
 	rt.queue.Submit(hsa.Packet{
 		Type:         hsa.KernelDispatch,
-		Kernel:       d,
+		Kernel:       *d,
 		PartitionCUs: partition,
 		OverlapLimit: rt.cfg.OverlapLimit,
 		Completion:   sig,
@@ -444,16 +450,18 @@ func (rt *Runtime) submitAttempt(seq int, d kernels.Desc, partition, attempt int
 
 // launchEmulated implements Fig. 11b: barrier (callback: right-size +
 // allocate + IOCTL) -> barrier (wait for mask applied) -> kernel.
-func (rt *Runtime) launchEmulated(seq int, d kernels.Desc, onDone func()) {
+func (rt *Runtime) launchEmulated(seq int, d *kernels.Desc, onDone func()) {
 	// maskApplied is observed (Done) by the second barrier after it
 	// completes, so it takes the explicitly-recycled pool path: the second
 	// barrier's callback returns it once no reference remains.
 	maskApplied := rt.cp.GetBarrierSignal(1)
 	// First barrier: consumed once prior kernels in this queue are done
 	// (queue FIFO order guarantees that); its runtime callback performs
-	// kernel-wise right-sizing and queue mask reconfiguration.
+	// kernel-wise right-sizing and queue mask reconfiguration, on a copy
+	// of the descriptor taken now.
+	desc := *d
 	rt.queue.SubmitBarrier(nil, func() {
-		size := rt.rs.Size(d)
+		size := rt.rs.Size(&desc)
 		rt.cfg.Telemetry.noteDecision(rt.queue.ID, size, rt.eng.Now())
 		mask := rt.cp.GenerateKernelMask(alloc.Request{
 			NumCUs:       size,
@@ -497,13 +505,11 @@ func (rt *Runtime) RunSequence(descs []kernels.Desc, onDone func()) {
 		}
 		return
 	}
-	for i, d := range descs {
-		if i == len(descs)-1 {
-			rt.LaunchKernel(d, onDone)
-		} else {
-			rt.LaunchKernel(d, nil)
-		}
+	last := len(descs) - 1
+	for i := range descs[:last] {
+		rt.LaunchKernel(&descs[i], nil)
 	}
+	rt.LaunchKernel(&descs[last], onDone)
 }
 
 // OverheadEstimate is the §V-B accounting for one model.

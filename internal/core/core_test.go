@@ -47,19 +47,20 @@ func twoKernels() []kernels.Desc {
 func TestRightSizerUsesDB(t *testing.T) {
 	descs := twoKernels()
 	s := newStack(t, descs, true)
-	if got := s.rs.Size(descs[0]); got != 12 {
+	if got := s.rs.Size(&descs[0]); got != 12 {
 		t.Errorf("Size(small) = %d, want 12", got)
 	}
-	if got := s.rs.Size(descs[1]); got != 60 {
+	if got := s.rs.Size(&descs[1]); got != 60 {
 		t.Errorf("Size(wide) = %d, want 60", got)
 	}
 	// Unprofiled kernels get the full device.
-	if got := s.rs.Size(kernels.SizedCompute("unknown", 5, 10, 1, 1)); got != 60 {
+	unknown := kernels.SizedCompute("unknown", 5, 10, 1, 1)
+	if got := s.rs.Size(&unknown); got != 60 {
 		t.Errorf("Size(unknown) = %d, want 60", got)
 	}
 	// Nil DB always grants the full device.
 	nilRS := NewRightSizer(nil, 60)
-	if got := nilRS.Size(descs[0]); got != 60 {
+	if got := nilRS.Size(&descs[0]); got != 60 {
 		t.Errorf("nil-DB Size = %d, want 60", got)
 	}
 }
@@ -98,7 +99,7 @@ func TestEmulatedModeReconfiguresQueueMask(t *testing.T) {
 	s := newStack(t, descs, false) // no native hardware support
 	rt := s.runtime(Config{Mode: ModeEmulated, OverlapLimit: 0})
 	var maskDuringFirst int
-	rt.LaunchKernel(descs[0], nil)
+	rt.LaunchKernel(&descs[0], nil)
 	// Inspect the device while the first (12-CU) kernel runs. The
 	// emulation path spends ~32us before the kernel starts (two barrier
 	// packets + IOCTL), so probe at 45us.
@@ -143,7 +144,7 @@ func TestPassthroughIgnoresRightSizing(t *testing.T) {
 	s := newStack(t, descs, true)
 	rt := s.runtime(Config{Mode: ModePassthrough})
 	var busy int
-	rt.LaunchKernel(descs[0], nil)
+	rt.LaunchKernel(&descs[0], nil)
 	s.eng.At(10, func() { busy = s.dev.BusyCUs() })
 	s.eng.Run()
 	if busy != 60 {

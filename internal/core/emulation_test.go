@@ -51,7 +51,8 @@ func TestEmulatedKernelNeverRacesMaskChange(t *testing.T) {
 			t.Fatalf("queue %d traced %d kernels, want %d", qi, tr.Len(), len(descs))
 		}
 		for _, r := range tr.Records() {
-			want := rs.Size(mustDesc(descs, r.Kernel))
+			d := mustDesc(descs, r.Kernel)
+			want := rs.Size(&d)
 			if r.AllocatedCUs != want {
 				t.Errorf("queue %d kernel %s ran with %d CUs, want %d (stale mask race)",
 					qi, r.Kernel, r.AllocatedCUs, want)

@@ -32,22 +32,57 @@ func BenchmarkLaunchCompleteCycle(b *testing.B) {
 	}
 }
 
-// BenchmarkContendedRetime measures the retime cost with several
-// concurrent kernels — the dominant per-event cost in big simulations.
-func BenchmarkContendedRetime(b *testing.B) {
+// benchRetime times one short kernel's launch and completion per
+// iteration on shortMask while long co-runners stay in flight on
+// longMasks: a co-runner that completes is relaunched on its mask, so the
+// contended shape holds for any b.N. The shape is checked after the last
+// iteration.
+func benchRetime(b *testing.B, longMasks []CUMask, shortMask CUMask) {
 	eng := sim.New()
 	d := NewDevice(eng, MI50Spec(), nil)
-	work := KernelWork{Workgroups: 6000, ThreadsPerWG: 256, WGTime: 10, Tail: 0.5}
-	for i := 0; i < 3; i++ {
-		d.Launch(work, RangeMask(MI50, i*15, 15), nil)
+	long := KernelWork{Workgroups: 6000, ThreadsPerWG: 256, WGTime: 10, Tail: 0.5}
+	var busy CUMask
+	for _, m := range longMasks {
+		m := m
+		var relaunch func()
+		relaunch = func() { d.Launch(long, m, relaunch) }
+		relaunch()
+		busy = busy.Or(m)
 	}
 	short := KernelWork{Workgroups: 150, ThreadsPerWG: 256, WGTime: 1, Tail: 0.5}
+	shortDone := false
+	onShort := func() { shortDone = true }
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d.Launch(short, RangeMask(MI50, 45, 15), nil)
-		// Drain only the short kernel's completion.
-		eng.Step()
+		shortDone = false
+		d.Launch(short, shortMask, onShort)
+		for !shortDone {
+			eng.Step()
+		}
 	}
+	b.StopTimer()
+	if d.Running() != len(longMasks) || d.BusyCUs() != busy.Count() {
+		b.Fatalf("after %d iterations: %d running on %d busy CUs, want %d on %d",
+			b.N, d.Running(), d.BusyCUs(), len(longMasks), busy.Count())
+	}
+}
+
+// BenchmarkContendedRetime measures the retime cost with several
+// concurrent kernels — the dominant per-event cost in big simulations:
+// three long co-runners each own an SE while short kernels cycle on the
+// fourth.
+func BenchmarkContendedRetime(b *testing.B) {
+	benchRetime(b, []CUMask{RangeMask(MI50, 0, 15), RangeMask(MI50, 15, 15), RangeMask(MI50, 30, 15)},
+		RangeMask(MI50, 45, 15))
+}
+
+// BenchmarkRetimeSharedMask is the MPS-default shape: every kernel runs on
+// the full device, so every launch and completion overlaps every
+// co-runner and each retime recomputes all of them.
+func BenchmarkRetimeSharedMask(b *testing.B) {
+	full := FullMask(MI50)
+	benchRetime(b, []CUMask{full, full, full}, full)
 }
 
 func BenchmarkMaskOps(b *testing.B) {

@@ -130,6 +130,15 @@ type Exec struct {
 	// created once per Exec object and reused across free-list recycles so
 	// steady-state launches allocate nothing.
 	completeFn func()
+	// waveRow is this Exec's row in the device's wave-cost slab: NumSEs
+	// static per-SE wave costs, set at launch (see setWaveCosts). The row
+	// is claimed once per Exec object and kept across recycles.
+	waveRow int
+	// compute caches the contended compute time (worst SE's wave cost x
+	// WGTime); computeOK is cleared whenever an input to it may have
+	// changed (see the retime cache invariant on retime).
+	compute   sim.Duration
+	computeOK bool
 }
 
 // Mask returns the CU mask this execution was dispatched with.
@@ -176,6 +185,13 @@ type Device struct {
 	// execFree recycles completed Exec objects so steady-state launches
 	// allocate nothing.
 	execFree []*Exec
+	// waveSlab backs every Exec's static per-SE wave costs, NumSEs entries
+	// per Exec (Exec.waveRow); 0 marks an SE running none of its workgroups.
+	waveSlab []float64
+	// seMemo holds each SE's last co-runner pressure sum, keyed by
+	// (gen, seBits), so co-runners sharing an SE slice sum it once per
+	// occupancy state.
+	seMemo []pressureMemo
 	// tel, when non-nil, receives occupancy/launch/health telemetry. The
 	// handles inside are resolved once at construction (see telemetry.go);
 	// with telemetry disabled this stays nil and costs one check per
@@ -297,6 +313,7 @@ func (d *Device) KillCU(cu int) bool {
 		}
 		x.mask = nm
 		x.pressure, x.memIntensity = d.pressureOf(x.work, nm)
+		d.setWaveCosts(x)
 		d.chargeExec(nm, x.pressure)
 		d.memPressure += x.memIntensity
 	}
@@ -323,6 +340,9 @@ func (d *Device) SetCUDegrade(cu int, stretch float64) {
 		d.numDegraded++
 	case was && !now:
 		d.numDegraded--
+	}
+	for _, x := range d.running {
+		x.computeOK = false
 	}
 	d.retime()
 }
@@ -360,6 +380,7 @@ func (d *Device) BusyCUs() int { return d.busy }
 // per-launch bookkeeping allocates nothing.
 func (d *Device) chargeExec(m CUMask, pressure float64) {
 	d.gen++
+	d.invalidateOverlapping(m)
 	for w := m.lo; w != 0; w &= w - 1 {
 		d.chargeCU(bits.TrailingZeros64(w), pressure)
 	}
@@ -380,6 +401,7 @@ func (d *Device) chargeCU(cu int, pressure float64) {
 // releaseExec undoes chargeExec for a finished or re-masked execution.
 func (d *Device) releaseExec(m CUMask, pressure float64) {
 	d.gen++
+	d.invalidateOverlapping(m)
 	for w := m.lo; w != 0; w &= w - 1 {
 		d.releaseCU(bits.TrailingZeros64(w), pressure)
 	}
@@ -387,6 +409,16 @@ func (d *Device) releaseExec(m CUMask, pressure float64) {
 		d.releaseCU(64+bits.TrailingZeros64(w), pressure)
 	}
 	d.publishOccupancy()
+}
+
+// invalidateOverlapping drops the cached compute time of every running
+// execution sharing a CU with m: only their pressure sums can change.
+func (d *Device) invalidateOverlapping(m CUMask) {
+	for _, x := range d.running {
+		if x.mask.lo&m.lo != 0 || x.mask.hi&m.hi != 0 {
+			x.computeOK = false
+		}
+	}
 }
 
 func (d *Device) releaseCU(cu int, pressure float64) {
@@ -492,9 +524,7 @@ func (d *Device) Launch(work KernelWork, mask CUMask, onDone func()) *Exec {
 		d.execFree[n-1] = nil
 		d.execFree = d.execFree[:n-1]
 	} else {
-		x = &Exec{}
-		xx := x
-		x.completeFn = func() { d.complete(xx) }
+		x = d.newExec()
 	}
 	x.work = work
 	x.mask = mask
@@ -505,12 +535,32 @@ func (d *Device) Launch(work KernelWork, mask CUMask, onDone func()) *Exec {
 	x.done = nil
 	x.id = d.nextID
 	x.pressure, x.memIntensity = d.pressureOf(work, mask)
+	d.setWaveCosts(x)
 	d.chargeExec(mask, x.pressure)
 	d.memPressure += x.memIntensity
 	x.runIdx = len(d.running)
 	d.running = append(d.running, x)
 	d.retime()
 	d.observe()
+	return x
+}
+
+// slabExecs is how many wave-cost rows the slab reserves up front: as many
+// Execs as a device usually runs at once, so the slab rarely grows.
+const slabExecs = 4
+
+// newExec allocates an Exec and claims its wave-cost row. The slab and the
+// pressure memo are allocated with a device's first Exec, so devices that
+// never launch (the profiler's) allocate neither.
+func (d *Device) newExec() *Exec {
+	nSE := d.Spec.Topo.NumSEs
+	if d.waveSlab == nil {
+		d.waveSlab = make([]float64, 0, slabExecs*nSE)
+		d.seMemo = make([]pressureMemo, nSE)
+	}
+	x := &Exec{waveRow: len(d.waveSlab)}
+	x.completeFn = func() { d.complete(x) }
+	d.waveSlab = append(d.waveSlab, make([]float64, nSE)...)
 	return x
 }
 
@@ -560,6 +610,17 @@ func (d *Device) observe() {
 // processor-sharing core: each kernel tracks the fraction of work
 // remaining; when conditions change, elapsed progress is banked at the old
 // speed and the residue re-timed at the new speed.
+//
+// Retime cache invariant: x.curTotal always equals duration(x.work,
+// x.mask, x.pressure, x.memIntensity) bit for bit, but only the inputs
+// that can have moved are recomputed. The per-SE wave costs depend on
+// (work, mask, spec) alone and are set at launch and on re-mask. The
+// contended compute time depends further only on the degrade table and on
+// d.pressure over x's own CUs, so it stays valid until a footprint change
+// overlapping x's mask (chargeExec/releaseExec) or a degrade change. The
+// memory term reads the device-wide memPressure and is recomputed every
+// time. Reused values come from the same operations on the same inputs,
+// so the results — and the engine's (at, seq) order — are unchanged.
 func (d *Device) retime() {
 	now := d.eng.Now()
 	for _, x := range d.running {
@@ -572,14 +633,93 @@ func (d *Device) retime() {
 			}
 		}
 		x.lastUpdate = now
-		x.curTotal = d.duration(x.work, x.mask, x.pressure, x.memIntensity)
+		if !x.computeOK {
+			x.compute = d.contendedCompute(x)
+			x.computeOK = true
+		}
+		t := x.compute
+		if mem := d.memTime(x.work, false, x.memIntensity); mem > t {
+			t = mem
+		}
+		x.curTotal = t + x.work.Tail
 		finish := now + x.remaining*x.curTotal
-		if x.done == nil {
+		switch {
+		case x.done == nil:
 			x.done = d.eng.At(finish, x.completeFn)
-		} else {
+		case x.done.Pending() && x.done.At() == finish:
+			// Rescheduling to the same time is a no-op: the event keeps
+			// its time and its seq rank either way.
+		default:
 			x.done = d.eng.Reschedule(x.done, finish)
 		}
 	}
+}
+
+// setWaveCosts fills x's wave-cost row with the static half of the model:
+// each used SE's half-wave quantized wave cost for its share of the
+// workgroups, which depends only on (work, mask, spec).
+func (d *Device) setWaveCosts(x *Exec) {
+	topo := d.Spec.Topo
+	row := d.waveSlab[x.waveRow : x.waveRow+topo.NumSEs]
+	nSE := usedSEs(x.mask, topo)
+	baseWG, extraWG := x.work.Workgroups/nSE, x.work.Workgroups%nSE
+	i := 0
+	for se := range row {
+		row[se] = 0
+		sb := x.mask.seBits(topo, se)
+		if sb == 0 {
+			continue
+		}
+		wgSE := baseWG
+		if i < extraWG {
+			wgSE++
+		}
+		i++
+		if wgSE > 0 {
+			row[se] = waveCost(halfWaves(wgSE, bits.OnesCount64(sb), d.Spec.SlotsPerCU), x.work.WaveExponent)
+		}
+	}
+	x.computeOK = false
+}
+
+// contendedCompute is the dynamic half of duration's compute term for a
+// running execution: its static wave costs stretched by CU degradation and
+// co-runner pressure, worst SE times WGTime.
+func (d *Device) contendedCompute(x *Exec) sim.Duration {
+	topo := d.Spec.Topo
+	var worst float64
+	for se, wc := range d.waveSlab[x.waveRow : x.waveRow+topo.NumSEs] {
+		if wc == 0 {
+			continue
+		}
+		sb := x.mask.seBits(topo, se)
+		a := bits.OnesCount64(sb)
+		if d.numDegraded > 0 {
+			wc = d.degradeStretch(se, sb, a, wc)
+		}
+		wc *= d.contentionStretch(d.memoPressure(se, sb), a, x.pressure)
+		if wc > worst {
+			worst = wc
+		}
+	}
+	return sim.Duration(worst) * x.work.WGTime
+}
+
+// pressureMemo is one SE's cached pressure sum (see Device.seMemo).
+type pressureMemo struct {
+	gen, bits uint64
+	sum       float64
+}
+
+// memoPressure is sePressure through the per-SE memo. Every change to
+// d.pressure advances d.gen, so a key match proves the same adds over the
+// same values in the same order — the cached sum is exact.
+func (d *Device) memoPressure(se int, sb uint64) float64 {
+	m := &d.seMemo[se]
+	if m.gen != d.gen || m.bits != sb {
+		*m = pressureMemo{gen: d.gen, bits: sb, sum: d.sePressure(se, sb)}
+	}
+	return m.sum
 }
 
 // pressureOf computes a kernel's contention footprint on the mask it was
@@ -644,20 +784,18 @@ func (d *Device) Duration(work KernelWork, mask CUMask) sim.Duration {
 //     (Fig. 6).
 func (d *Device) duration(work KernelWork, mask CUMask, ownPressure, ownMem float64) sim.Duration {
 	topo := d.Spec.Topo
-	// Two passes over the (at most 8) SEs instead of materializing a
-	// UsedSEs slice: duration runs for every running kernel on every
-	// launch/complete, so this path must not allocate.
-	nSE := 0
-	for se := 0; se < topo.NumSEs; se++ {
-		if mask.seBits(topo, se) != 0 {
-			nSE++
-		}
-	}
+	// A counting pass and a costing pass over the (at most 8) SEs, with
+	// no buffer and no calls that do not inline: duration is the
+	// profiler's closed form, evaluated tens of thousands of times per
+	// model sweep.
+	nSE := usedSEs(mask, topo)
 	if nSE == 0 {
 		panic("gpu: Duration with empty mask")
 	}
-	baseWG := work.Workgroups / nSE
-	extraWG := work.Workgroups % nSE
+	// Workgroups are split equally across the used SEs; the first
+	// extraWG of them take one more.
+	baseWG, extraWG := work.Workgroups/nSE, work.Workgroups%nSE
+	contended := !math.IsInf(ownPressure, 1)
 
 	var worst float64 // waveCost x stretch, worst SE
 	i := 0
@@ -675,78 +813,121 @@ func (d *Device) duration(work KernelWork, mask CUMask, ownPressure, ownMem floa
 			continue
 		}
 		a := bits.OnesCount64(sb)
-		waves := float64(wgSE) / float64(a*d.Spec.SlotsPerCU)
-		// Half-wave quantization keeps the single-wave knee sharp (the
-		// minCU phenomenon) while letting deep restriction degrade in
-		// steps.
-		wq := math.Ceil(2*waves) / 2
-		if wq < 1 {
-			wq = 1
-		}
-		waveCost := wq
-		if work.WaveExponent > 0 && work.WaveExponent != 1 && wq > 1 {
-			waveCost = math.Pow(wq, work.WaveExponent)
-		}
-		// Degraded CUs slow the waves scheduled across this SE's enabled
-		// set in proportion to how much of the set they are. Gated on
-		// numDegraded so the fault-free path performs no extra float work.
+		wc := waveCost(halfWaves(wgSE, a, d.Spec.SlotsPerCU), work.WaveExponent)
+		// Gated on numDegraded so the fault-free path performs no extra
+		// float work.
 		if d.numDegraded > 0 {
-			sumDeg := 0.0
-			base := se * topo.CUsPerSE
-			for w := sb; w != 0; w &= w - 1 {
-				sumDeg += d.degrade[base+bits.TrailingZeros64(w)]
-			}
-			if sumDeg > 0 {
-				waveCost *= 1 + sumDeg/float64(a)
-			}
+			wc = d.degradeStretch(se, sb, a, wc)
 		}
-		// Contention stretch: co-runners always cost a little (cache and
-		// scheduler interference, ShareTax), and once the enabled CUs'
-		// aggregate compute pressure exceeds capacity the oversubscribed
-		// fraction costs fully plus the interference tax.
-		if !math.IsInf(ownPressure, 1) {
-			sumP := 0.0
-			base := se * topo.CUsPerSE
-			for w := sb; w != 0; w &= w - 1 {
-				sumP += d.pressure[base+bits.TrailingZeros64(w)]
-			}
-			avgP := sumP / float64(a)
-			other := avgP - ownPressure
-			if other < 0 {
-				other = 0
-			}
-			stretch := 1 + d.Spec.ShareTax*other
-			if avgP > 1 {
-				stretch += (1 + d.Spec.InterferenceTax) * (avgP - 1)
-			}
-			waveCost *= stretch
+		if contended {
+			wc *= d.contentionStretch(d.sePressure(se, sb), a, ownPressure)
 		}
-		if waveCost > worst {
-			worst = waveCost
+		if wc > worst {
+			worst = wc
 		}
 	}
 	compute := sim.Duration(worst) * work.WGTime
 
-	var mem sim.Duration
-	if work.MemBytes > 0 {
-		// Bandwidth is shared in proportion to memory intensity: a
-		// compute-bound co-runner barely dents a streaming kernel's
-		// bandwidth, while two streaming kernels halve each other's.
-		demand := 1.0
-		if !math.IsInf(ownPressure, 1) {
-			others := d.memPressure - ownMem
-			if others > 0 {
-				demand += others
-			}
-		}
-		mem = work.MemBytes * demand / d.Spec.MemBandwidth
-	}
-
 	t := compute
-	if mem > t {
+	if mem := d.memTime(work, !contended, ownMem); mem > t {
 		t = mem
 	}
 	return t + work.Tail
+}
+
+// usedSEs counts the SEs with at least one CU enabled in mask.
+func usedSEs(mask CUMask, topo Topology) (n int) {
+	for se := range topo.NumSEs {
+		if mask.seBits(topo, se) != 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// halfWaves is the number of waves wgSE workgroups take on a CUs of one
+// SE: within an SE the workgroup manager pools the enabled CUs' slots, so
+// execution proceeds in waves of a*slots. Half-wave quantization keeps
+// the single-wave knee sharp (the minCU phenomenon) while letting deep
+// restriction degrade in steps.
+func halfWaves(wgSE, a, slots int) float64 {
+	waves := float64(wgSE) / float64(a*slots)
+	wq := math.Ceil(2*waves) / 2
+	if wq < 1 {
+		wq = 1
+	}
+	return wq
+}
+
+// waveCost is the static per-SE cost of wq waves: waves beyond the first
+// cost waves^exponent (latency hiding improves with per-CU queue depth),
+// and 0 means linear. It and halfWaves inline into the profiler's closed
+// form; exponent 1 needs no test of its own, as Pow(wq, 1) is wq exactly.
+func waveCost(wq, exponent float64) float64 {
+	if exponent > 0 && wq > 1 {
+		return math.Pow(wq, exponent)
+	}
+	return wq
+}
+
+// degradeStretch slows the waves scheduled across SE se's enabled set sb
+// (a CUs) in proportion to how much of the set is degraded.
+func (d *Device) degradeStretch(se int, sb uint64, a int, wc float64) float64 {
+	sumDeg := 0.0
+	base := se * d.Spec.Topo.CUsPerSE
+	for w := sb; w != 0; w &= w - 1 {
+		sumDeg += d.degrade[base+bits.TrailingZeros64(w)]
+	}
+	if sumDeg > 0 {
+		wc *= 1 + sumDeg/float64(a)
+	}
+	return wc
+}
+
+// sePressure sums the per-CU compute pressure over SE se's enabled set sb,
+// in ascending CU order.
+func (d *Device) sePressure(se int, sb uint64) float64 {
+	sumP := 0.0
+	base := se * d.Spec.Topo.CUsPerSE
+	for w := sb; w != 0; w &= w - 1 {
+		sumP += d.pressure[base+bits.TrailingZeros64(w)]
+	}
+	return sumP
+}
+
+// contentionStretch is the co-location cost on a set of a CUs whose
+// pressures sum to sumP: co-runners always cost a little (cache and
+// scheduler interference, ShareTax), and once the set's average compute
+// pressure exceeds capacity the oversubscribed fraction costs fully plus
+// the interference tax.
+func (d *Device) contentionStretch(sumP float64, a int, ownPressure float64) float64 {
+	avgP := sumP / float64(a)
+	other := avgP - ownPressure
+	if other < 0 {
+		other = 0
+	}
+	stretch := 1 + d.Spec.ShareTax*other
+	if avgP > 1 {
+		stretch += (1 + d.Spec.InterferenceTax) * (avgP - 1)
+	}
+	return stretch
+}
+
+// memTime is the memory-bound time of work. Bandwidth is shared in
+// proportion to memory intensity: a compute-bound co-runner barely dents a
+// streaming kernel's bandwidth, while two streaming kernels halve each
+// other's. solo ignores co-runners (full bandwidth).
+func (d *Device) memTime(work KernelWork, solo bool, ownMem float64) sim.Duration {
+	if !(work.MemBytes > 0) {
+		return 0
+	}
+	demand := 1.0
+	if !solo {
+		if others := d.memPressure - ownMem; others > 0 {
+			demand += others
+		}
+	}
+	return work.MemBytes * demand / d.Spec.MemBandwidth
 }
 
 // IsolatedDuration is Duration on an otherwise-idle device: no CU sharing

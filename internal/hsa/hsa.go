@@ -12,8 +12,9 @@
 // packet n's kernel has completed.
 //
 // The packet processor is the simulator's hottest path — it runs for every
-// kernel of every inference pass — so its steady state allocates nothing:
-// queues store packets in a head-indexed ring, the dispatch and completion
+// kernel of every inference pass — so its steady state allocates nothing
+// and copies each packet once: queues store packets in a circular ring and
+// dispatch the in-flight packet from its slot, the dispatch and completion
 // hooks are pre-bound method values created once per queue, completion
 // signals recycle through a per-processor free list, and kernel-scoped
 // mask generation goes through an alloc.MaskCache over the device's live
@@ -382,18 +383,20 @@ type Queue struct {
 	cp   *CommandProcessor
 	mask gpu.CUMask
 
-	// packets[head:] are the waiting packets; the head index advances on
-	// consumption (and both reset once the queue drains) so the steady
-	// state re-uses one backing array instead of re-slicing it away.
-	packets []Packet
-	head    int
-	busy    bool // a packet from this queue is being processed or executing
+	// ring is a circular packet buffer: the n waiting packets start at
+	// slot head and wrap around the end. The packet mid-flight
+	// (from consumption until its kernel completes or its barrier fires)
+	// stays in its slot, cur, just before head while held is set. The
+	// queue serializes packets, so exactly one can be in flight — which
+	// lets the pre-bound hooks below read it from the ring instead of a
+	// per-packet closure or a copy.
+	ring []Packet
+	head int
+	n    int
+	cur  int
+	held bool
+	busy bool // a packet from this queue is being processed or executing
 
-	// cur is the packet currently mid-flight (from consumption until its
-	// kernel completes or its barrier fires). The queue serializes
-	// packets, so exactly one can be in flight — which lets the pre-bound
-	// hooks below read it from the queue instead of a per-packet closure.
-	cur             Packet
 	curKernelScoped bool
 	curFaulted      bool
 	barrierWaits    int
@@ -459,10 +462,10 @@ func (q *Queue) Quiescent() bool {
 // pre-bound dispatch hooks.
 func (q *Queue) reset() {
 	q.mask = gpu.FullMask(q.cp.dev.Spec.Topo)
-	q.packets = q.packets[:0]
-	q.head = 0
+	clear(q.ring)
+	q.head, q.n, q.cur = 0, 0, 0
+	q.held = false
 	q.busy = false
-	q.cur = Packet{}
 	q.curKernelScoped = false
 	q.curFaulted = false
 	q.barrierWaits = 0
@@ -624,12 +627,74 @@ func (q *Queue) ResetStall() bool {
 
 // Submit enqueues a packet and rings the doorbell.
 func (q *Queue) Submit(p Packet) {
-	p.enqueuedAt = q.cp.eng.Now()
+	slot := q.push()
+	*slot = p
+	slot.enqueuedAt = q.cp.eng.Now()
 	if t := q.cp.tel; t != nil {
 		t.QueueDepth.Add(1)
 	}
-	q.packets = append(q.packets, p)
 	q.pump()
+}
+
+// push claims the ring slot after the last waiting packet, growing the
+// ring when every slot (including a held in-flight one) is occupied.
+func (q *Queue) push() *Packet {
+	used := q.n
+	if q.held {
+		used++
+	}
+	if used == len(q.ring) {
+		q.grow(used)
+	}
+	i := q.head + q.n
+	if i >= len(q.ring) {
+		i -= len(q.ring)
+	}
+	q.n++
+	return &q.ring[i]
+}
+
+// grow enlarges a full ring by append's growth policy (double while
+// small, about 1.25x once large, rounded up to the allocation size class)
+// so the queue allocates what a plain slice of packets would, and unwraps
+// the occupied slots — all of them, starting at the held one — to the
+// front.
+func (q *Queue) grow(used int) {
+	size := 2 * used
+	if used >= 256 {
+		size = used + (used+3*256)/4
+	}
+	if size == 0 {
+		size = 4
+	}
+	ring := append([]Packet(nil), make([]Packet, size)...)
+	ring = ring[:cap(ring)]
+	start := q.head
+	if q.held {
+		start = q.cur
+	}
+	k := copy(ring, q.ring[start:])
+	copy(ring[k:], q.ring[:start])
+	q.ring = ring
+	q.cur, q.head = 0, used-q.n
+}
+
+// curPacket is the in-flight packet's slot. The pointer is valid until the
+// next Submit to this queue, which may grow the ring.
+func (q *Queue) curPacket() *Packet { return &q.ring[q.cur] }
+
+// retire releases the in-flight packet's slot, clearing only the fields
+// that hold references (the next push overwrites the rest), so a drained
+// ring pins no callbacks, signals or kernel names.
+func (q *Queue) retire() {
+	p := &q.ring[q.cur]
+	p.Kernel.Name = ""
+	p.DepSignals = nil
+	p.Callback = nil
+	p.Completion = nil
+	p.OnDispatch = nil
+	p.OnFault = nil
+	q.held = false
 }
 
 // SubmitKernel is a convenience wrapper: enqueue a kernel dispatch whose
@@ -672,29 +737,27 @@ func (q *Queue) SubmitBarrier(deps []*Signal, callback func(), completion *Signa
 
 // Pending returns the number of packets waiting in the queue (not counting
 // one currently being processed).
-func (q *Queue) Pending() int { return len(q.packets) - q.head }
+func (q *Queue) Pending() int { return q.n }
 
 // pump consumes the next packet if the queue is idle and not stalled.
 func (q *Queue) pump() {
-	if q.busy || q.head >= len(q.packets) {
+	if q.busy || q.n == 0 {
 		return
 	}
 	if q.Stalled() {
 		return // the stall's resume event re-pumps
 	}
 	q.busy = true
-	q.cur = q.packets[q.head]
-	q.packets[q.head] = Packet{} // release the slot's references
-	q.head++
+	q.cur, q.held = q.head, true
+	if q.head++; q.head == len(q.ring) {
+		q.head = 0
+	}
+	q.n--
 	if t := q.cp.tel; t != nil {
 		t.QueueDepth.Add(-1)
 		q.curConsumedAt = q.cp.eng.Now()
 	}
-	if q.head == len(q.packets) {
-		q.packets = q.packets[:0]
-		q.head = 0
-	}
-	switch q.cur.Type {
+	switch q.ring[q.cur].Type {
 	case KernelDispatch:
 		q.processKernel()
 	case BarrierAND:
@@ -704,12 +767,12 @@ func (q *Queue) pump() {
 	}
 }
 
-// processKernel pays the packet-processing cost, then hands q.cur to the
-// device via the pre-bound dispatch hook.
+// processKernel pays the packet-processing cost, then hands the in-flight
+// packet to the device via the pre-bound dispatch hook.
 func (q *Queue) processKernel() {
 	cp := q.cp
 	cost := cp.cfg.PacketProcessTime
-	q.curKernelScoped = cp.cfg.KernelScoped && q.cur.PartitionCUs > 0
+	q.curKernelScoped = cp.cfg.KernelScoped && q.ring[q.cur].PartitionCUs > 0
 	if q.curKernelScoped {
 		cost += cp.cfg.MaskAllocTime
 	}
@@ -719,7 +782,7 @@ func (q *Queue) processKernel() {
 // dispatchCur launches the in-flight kernel packet on the device.
 func (q *Queue) dispatchCur() {
 	cp := q.cp
-	p := &q.cur
+	p := q.curPacket()
 	mask := q.mask
 	if q.curKernelScoped {
 		// KRISP packet processor: generate the kernel resource mask
@@ -771,6 +834,8 @@ func (q *Queue) dispatchCur() {
 		}
 		q.curDispatchedAt = now
 	}
+	// p may be stale once OnDispatch runs (a hook may Submit and grow
+	// the ring); nothing below reads it.
 	if p.OnDispatch != nil {
 		p.OnDispatch(mask)
 	}
@@ -780,15 +845,16 @@ func (q *Queue) dispatchCur() {
 // kernelDone finishes the in-flight kernel packet: completion (or the
 // fault route), then the next packet.
 func (q *Queue) kernelDone() {
+	p := q.curPacket()
 	if t := q.cp.tel; t != nil {
 		if tr := t.tracer; tr != nil {
-			tr.Span("kernel", q.cur.Kernel.Name, t.pid, q.ID, q.curDispatchedAt, q.cp.eng.Now())
+			tr.Span("kernel", p.Kernel.Name, t.pid, q.ID, q.curDispatchedAt, q.cp.eng.Now())
 		}
 	}
-	onFault := q.cur.OnFault
-	completion := q.cur.Completion
+	onFault := p.OnFault
+	completion := p.Completion
 	faulted := q.curFaulted
-	q.cur = Packet{}
+	q.retire()
 	q.curFaulted = false
 	if faulted && onFault != nil {
 		onFault()
@@ -808,7 +874,7 @@ func (q *Queue) processBarrier() {
 // barrierReady counts the in-flight barrier's outstanding dependencies and
 // either fires it or parks the pre-bound dep hook on each pending signal.
 func (q *Queue) barrierReady() {
-	deps := q.cur.DepSignals
+	deps := q.curPacket().DepSignals
 	q.barrierWaits = 0
 	for _, s := range deps {
 		if !s.Done() {
@@ -842,9 +908,10 @@ func (q *Queue) finishBarrier() {
 			tr.Span("hsa", "barrier", t.pid, q.ID, q.curConsumedAt, q.cp.eng.Now())
 		}
 	}
-	callback := q.cur.Callback
-	completion := q.cur.Completion
-	q.cur = Packet{}
+	p := q.curPacket()
+	callback := p.Callback
+	completion := p.Completion
+	q.retire()
 	if callback != nil {
 		callback()
 	}

@@ -261,3 +261,55 @@ func TestMaskAllocTimeCharged(t *testing.T) {
 		t.Errorf("kernel-scoped extra cost = %v, want 1 (MaskAllocTime)", d)
 	}
 }
+
+// TestQueueRingKeepsFIFOAcrossWrapAndGrowth submits packets in irregular
+// bursts — from completion callbacks and from timed events that land while
+// a packet is mid-flight in its ring slot — so the ring wraps and grows
+// around a held slot. Kernels must complete in submission order, and
+// Pending must count only waiting packets.
+func TestQueueRingKeepsFIFOAcrossWrapAndGrowth(t *testing.T) {
+	eng, _, cp := newStack(false)
+	q := cp.NewQueue()
+	var order []int
+	next := 0
+	var submit func(n int)
+	submit = func(n int) {
+		for i := 0; i < n; i++ {
+			id := next
+			next++
+			q.SubmitKernel(oneWave(), func() {
+				order = append(order, id)
+				// Every third completion submits a burst of growing size
+				// while this queue is still busy.
+				if id%3 == 0 && next < 200 {
+					submit(id%7 + 1)
+				}
+			})
+		}
+	}
+	submit(3)
+	if q.Pending() != 2 || !q.busy {
+		t.Fatalf("after 3 submits: pending %d busy %v, want 2 waiting behind 1 in flight", q.Pending(), q.busy)
+	}
+	for i := 1; i <= 40; i++ {
+		n := i%9 + 1
+		eng.At(sim.Time(i)*23.7, func() { submit(n) })
+	}
+	eng.Run()
+	if len(order) != next {
+		t.Fatalf("%d of %d kernels completed", len(order), next)
+	}
+	for i, id := range order {
+		if id != i {
+			t.Fatalf("completion %d was kernel %d: FIFO order broken", i, id)
+		}
+	}
+	if q.Pending() != 0 || !q.Quiescent() {
+		t.Fatalf("drained queue: pending %d quiescent %v", q.Pending(), q.Quiescent())
+	}
+	for i := range q.ring {
+		if p := &q.ring[i]; p.Completion != nil || p.OnFault != nil || p.OnDispatch != nil || p.Kernel.Name != "" {
+			t.Fatalf("retired slot %d still holds references", i)
+		}
+	}
+}

@@ -812,10 +812,10 @@ func (r *Replica) batchKernels(n int) []kernels.Desc {
 		r.descBuf = make([]kernels.Desc, len(base))
 	}
 	out := r.descBuf[:len(base)]
-	for i, d := range base {
+	for i := range base {
 		f := 1 + r.node.cfg.Jitter*(2*r.rng.Float64()-1)
-		d.Work.WGTime *= sim.Duration(f)
-		out[i] = d
+		out[i] = base[i]
+		out[i].Work.WGTime *= sim.Duration(f)
 	}
 	return out
 }

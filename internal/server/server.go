@@ -627,10 +627,10 @@ func (w *worker) jittered(descs []kernels.Desc) []kernels.Desc {
 		w.descBuf = make([]kernels.Desc, len(descs))
 	}
 	out := w.descBuf[:len(descs)]
-	for i, d := range descs {
+	for i := range descs {
 		f := 1 + w.jitter*(2*w.rng.Float64()-1)
-		d.Work.WGTime *= sim.Duration(f)
-		out[i] = d
+		out[i] = descs[i]
+		out[i].Work.WGTime *= sim.Duration(f)
 	}
 	return out
 }

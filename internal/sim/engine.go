@@ -89,6 +89,10 @@ type Event struct {
 // At reports the virtual time the event is (or was last) scheduled for.
 func (ev *Event) At() Time { return ev.at }
 
+// Pending reports whether the event is scheduled and will fire unless
+// canceled.
+func (ev *Event) Pending() bool { return ev.state == statePending }
+
 // Canceled reports whether the event was canceled before firing.
 func (ev *Event) Canceled() bool {
 	return ev.state == stateCanceled || (ev.state == stateFree && ev.wasCanceled)
