@@ -324,11 +324,9 @@ func TestWatchdogTripResetsAndWidens(t *testing.T) {
 		eng: eng, stats: stats, runtimes: []*core.Runtime{rt},
 		batchTimeout: 1_000, window: 100_000, p99Threshold: 1, cooldown: 1,
 	}
-	w := &worker{rt: rt, eng: eng}
-	w.chaos = ch
 
 	q.StallFor(1e12)
-	wd := ch.armWatchdog(w)
+	wd := ch.armWatchdog(rt)
 	eng.RunUntil(1_500)
 	if stats.WatchdogTrips != 1 {
 		t.Fatalf("trips = %d, want 1", stats.WatchdogTrips)

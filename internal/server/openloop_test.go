@@ -124,17 +124,6 @@ func TestOpenLoopMoreWorkersLowerLatency(t *testing.T) {
 	}
 }
 
-func TestOpenLoopUtilization(t *testing.T) {
-	res := runOpen(t, 1000, 2)
-	if u := res.Utilization(4300, 2); u < 0.1 || u > 0.2 {
-		t.Errorf("utilization = %v, want ~0.116", u)
-	}
-	if u := res.Utilization(0, 2); u != res.Utilization(4300, 0) {
-		// both degenerate cases return +Inf
-		t.Errorf("degenerate utilization mismatch")
-	}
-}
-
 func TestOpenLoopValidation(t *testing.T) {
 	m := mustModel(t, "squeezenet")
 	a := mustModel(t, "albert")

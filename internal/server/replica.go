@@ -120,6 +120,20 @@ type gpuStack struct {
 // NewNode builds the node's devices and command processors and arms its
 // fault plan, if any. No replicas exist yet.
 func NewNode(cfg NodeConfig) *Node {
+	cfg.setDefaults()
+	hsaCfg := cfg.HSA
+	hsaCfg.KernelScoped = true // replicas are kernel-scoped partition instances
+	n := newNode(cfg, hsaCfg)
+	if !cfg.Faults.Empty() {
+		n.setFaults(*cfg.Faults)
+		n.armFaults()
+	}
+	return n
+}
+
+// setDefaults fills the zero fields of a node config with the server
+// defaults.
+func (cfg *NodeConfig) setDefaults() {
 	if cfg.Spec.Topo.TotalCUs() == 0 {
 		cfg.Spec = gpu.MI50Spec()
 	}
@@ -144,37 +158,48 @@ func NewNode(cfg NodeConfig) *Node {
 	case cfg.Jitter < 0:
 		cfg.Jitter = 0
 	}
+}
 
+// newNode builds the engine and per-GPU stacks of a defaulted config.
+// hsaCfg configures the command processors: NewNode forces kernel-scoped
+// queues, Run keeps its policy's setting.
+func newNode(cfg NodeConfig, hsaCfg hsa.Config) *Node {
 	n := &Node{cfg: cfg, eng: sim.New()}
-	hsaCfg := cfg.HSA
-	hsaCfg.KernelScoped = true // replicas are kernel-scoped partition instances
-	if !cfg.Faults.Empty() {
-		n.inj = faults.NewInjector(n.eng, *cfg.Faults)
-		n.inj.SetTelemetry(faults.NewTelemetry(cfg.Telemetry))
-	}
 	n.gpus = make([]gpuStack, cfg.GPUs)
 	for g := range n.gpus {
 		meter := energy.NewMeter(cfg.Power)
 		dev := gpu.NewDevice(n.eng, cfg.Spec, meter)
 		cp := hsa.NewCommandProcessor(n.eng, dev, hsaCfg)
-		if n.inj != nil {
-			cp.SetFaults(n.inj)
-		}
+		// The telemetry constructors return nil on a nil hub, so this
+		// wiring installs nothing when telemetry is off.
 		id := cfg.Index*cfg.GPUs + g
 		dev.SetTelemetry(gpu.NewTelemetry(cfg.Telemetry, cfg.Spec.Topo, id))
 		cp.SetTelemetry(hsa.NewTelemetry(cfg.Telemetry, id))
 		n.gpus[g] = gpuStack{meter: meter, dev: dev, cp: cp}
 	}
-	if n.inj != nil {
-		devs := make([]*gpu.Device, cfg.GPUs)
-		cps := make([]*hsa.CommandProcessor, cfg.GPUs)
-		for g := range n.gpus {
-			devs[g] = n.gpus[g].dev
-			cps[g] = n.gpus[g].cp
-		}
-		n.inj.Arm(devs, cps)
-	}
 	return n
+}
+
+// setFaults installs an injector for plan on every command processor.
+// Its timeline is scheduled separately by armFaults, so Run can create its
+// queues (whose CU-mask IOCTLs already draw on the injector) in between.
+func (n *Node) setFaults(plan faults.Plan) {
+	n.inj = faults.NewInjector(n.eng, plan)
+	n.inj.SetTelemetry(faults.NewTelemetry(n.cfg.Telemetry))
+	for _, g := range n.gpus {
+		g.cp.SetFaults(n.inj)
+	}
+}
+
+// armFaults schedules the installed injector's fault timeline.
+func (n *Node) armFaults() {
+	devs := make([]*gpu.Device, len(n.gpus))
+	cps := make([]*hsa.CommandProcessor, len(n.gpus))
+	for g := range n.gpus {
+		devs[g] = n.gpus[g].dev
+		cps[g] = n.gpus[g].cp
+	}
+	n.inj.Arm(devs, cps)
 }
 
 // Now returns the node's virtual clock.
@@ -444,6 +469,10 @@ type Replica struct {
 	// continuous-batching token loop (see llm.go). The classic queue holds
 	// waiting sequences; busy covers the in-flight token step.
 	llm *llmEngine
+
+	// slot, when non-nil, is Run's bookkeeping for the worker this replica
+	// serves (see server.go); fleet replicas have none.
+	slot *runSlot
 }
 
 // AddReplica creates a replica on the node. The spec's GPU must exist.
@@ -473,15 +502,6 @@ func (n *Node) AddReplica(spec ReplicaSpec) *Replica {
 	if spec.CUs <= 0 || spec.CUs > total {
 		spec.CUs = total
 	}
-	stack := n.gpus[spec.GPU]
-	q := stack.cp.NewQueue()
-	rtCfg := core.Config{
-		Mode:         core.ModeNative,
-		OverlapLimit: spec.OverlapLimit,
-		Device:       n.cfg.Index*n.cfg.GPUs + spec.GPU,
-	}
-	seed := n.cfg.Seed + n.replicaSeq*7919 + 1
-	n.replicaSeq++
 	sizer := core.NewFixedRightSizer(spec.CUs, total)
 	if l := spec.LLM; l != nil && (l.PrefillCUs > 0 || l.DecodeCUs > 0) {
 		// Kernel-wise per-phase right-sizing: prefill kernels get one
@@ -496,7 +516,34 @@ func (n *Node) AddReplica(spec ReplicaSpec) *Replica {
 		}
 		sizer = core.NewPhaseRightSizer(pf, dc, total)
 	}
+	r := n.addReplica(spec, sizer, core.Config{
+		Mode:         core.ModeNative,
+		OverlapLimit: spec.OverlapLimit,
+		Device:       n.cfg.Index*n.cfg.GPUs + spec.GPU,
+	})
+	if spec.LLM != nil {
+		if r.llm == nil {
+			r.llm = &llmEngine{}
+			r.llm.kickFn = r.llmKick
+			r.llm.stepFn = r.llmStepDone
+			r.llm.retryFn = r.llmRetry
+		}
+		r.llm.reset(*spec.LLM)
+	} else {
+		r.llm = nil
+	}
+	return r
+}
 
+// addReplica binds a replica to a fresh queue on spec.GPU with the given
+// sizer and runtime config: AddReplica's gpulet defaults, or the policy
+// assignment of one of Run's workers. The replica RNG is seeded from the
+// node seed and the replica's creation order.
+func (n *Node) addReplica(spec ReplicaSpec, sizer *core.RightSizer, rtCfg core.Config) *Replica {
+	stack := n.gpus[spec.GPU]
+	q := stack.cp.NewQueue()
+	seed := n.cfg.Seed + n.replicaSeq*7919 + 1
+	n.replicaSeq++
 	var r *Replica
 	if free := n.replicaFree; spec.GPU < len(free) && len(free[spec.GPU]) > 0 {
 		// Reuse a released replica from this GPU's pool: reseed its RNG in
@@ -519,17 +566,6 @@ func (n *Node) AddReplica(spec ReplicaSpec) *Replica {
 			rt:   core.NewRuntime(n.eng, stack.cp, q, sizer, rtCfg),
 			rng:  rand.New(rand.NewSource(seed)),
 		}
-	}
-	if spec.LLM != nil {
-		if r.llm == nil {
-			r.llm = &llmEngine{}
-			r.llm.kickFn = r.llmKick
-			r.llm.stepFn = r.llmStepDone
-			r.llm.retryFn = r.llmRetry
-		}
-		r.llm.reset(*spec.LLM)
-	} else {
-		r.llm = nil
 	}
 	n.replicas = append(n.replicas, r)
 	return r
@@ -556,11 +592,22 @@ func (r *Replica) Release() {
 			break
 		}
 	}
+	r.recycle()
+}
+
+// recycle clears a replica's serving state and parks it on its GPU's free
+// list for a later AddReplica.
+func (r *Replica) recycle() {
 	r.queue = r.queue[:0]
+	r.inflight = r.inflight[:0]
+	r.completions = r.completions[:0]
 	r.busy = false
 	r.draining = false
+	r.killed = false
 	r.stats = ReplicaStats{}
 	r.curBatch = 0
+	r.slot = nil
+	n := r.node
 	if n.replicaFree == nil {
 		n.replicaFree = make([][]*Replica, len(n.gpus))
 	}
@@ -749,6 +796,9 @@ func (r *Replica) maybeStart() {
 		r.seqFn = r.seqDone
 		r.postFn = r.postDone
 	}
+	if s := r.slot; s != nil && s.st.chaos != nil {
+		s.wd = s.st.chaos.armWatchdog(r.rt)
+	}
 	r.node.eng.After(r.node.cfg.PreprocessUs, r.preFn)
 }
 
@@ -789,6 +839,9 @@ func (r *Replica) postDone() {
 	r.stats.CompletedBatches++
 	r.stats.CompletedRequests += served
 	r.inflight = r.inflight[:0]
+	if r.slot != nil {
+		r.slot.batchDone(r)
+	}
 	r.maybeStart()
 }
 

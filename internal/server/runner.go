@@ -19,33 +19,37 @@ import (
 // with equal shapes can share a context; anything else (seeds, windows,
 // policies, jitter, faults) is per-run state the reuse path reapplies.
 type runShape struct {
-	spec    gpu.DeviceSpec
-	hsa     hsa.Config
-	power   energy.Model
-	gpus    int
-	workers int
+	spec  gpu.DeviceSpec
+	hsa   hsa.Config
+	power energy.Model
+	gpus  int
 }
 
-// runState is the reusable context behind Run: the engine, per-GPU stacks,
-// worker slots, and the scratch slices the setup phase fills. Pooling it
-// drives the serve lifecycle's steady-state allocations toward zero — a
-// rerun resets every component in place (engine heap, device counters,
-// meters, queues, runtimes, worker RNGs) instead of rebuilding the stack.
+// runState is the reusable context behind Run: a Node whose replicas serve
+// the configured workers, the Run-side bookkeeping for each of them, and
+// the scratch slices the setup phase fills. Pooling it drives the serve
+// lifecycle's steady-state allocations toward zero — a rerun resets the
+// node in place (engine heap, device counters, meters, queues, replicas)
+// instead of rebuilding the stack.
 type runState struct {
 	shape    runShape
 	poolable bool
 
-	eng      *sim.Engine
-	gpus     []gpuStack
+	node     *Node
 	coreTels []*core.Telemetry
-	workers  []*worker
+	slots    []runSlot
+
+	// Per-run driver state: the measurement window, the chaos harness
+	// (nil unless faults are armed) and the open-loop arrival queue (nil
+	// for the closed loop).
+	measureStart, measureEnd sim.Time
+	chaos                    *chaosHarness
+	open                     *openLoop
 
 	// Setup scratch, reused across runs.
 	rightSizes  []int
 	perGPU      [][]int
 	assignments []policies.Assignment
-	devs        []*gpu.Device
-	cps         []*hsa.CommandProcessor
 }
 
 // statePool is the interface runPool is held behind. Production uses
@@ -72,45 +76,48 @@ func acquireRun(shape runShape, hub *telemetry.Hub) *runState {
 		if v := runPool.Get(); v != nil {
 			st := v.(*runState)
 			if st.shape == shape {
-				st.reset()
+				st.node.reset()
 				return st
 			}
 			// Shape mismatch: drop the stale context and build fresh.
 		}
 	}
-	st := &runState{shape: shape, poolable: poolable, eng: sim.New()}
-	st.gpus = make([]gpuStack, shape.gpus)
-	st.coreTels = make([]*core.Telemetry, shape.gpus)
-	for g := range st.gpus {
-		meter := energy.NewMeter(shape.power)
-		dev := gpu.NewDevice(st.eng, shape.spec, meter)
-		cp := hsa.NewCommandProcessor(st.eng, dev, shape.hsa)
-		// The telemetry constructors return nil on a nil hub, so this
-		// wiring is unconditional and installs nothing when telemetry is
-		// off.
-		dev.SetTelemetry(gpu.NewTelemetry(hub, shape.spec.Topo, g))
-		cp.SetTelemetry(hsa.NewTelemetry(hub, g))
-		st.coreTels[g] = core.NewTelemetry(hub, g)
-		st.gpus[g] = gpuStack{meter: meter, dev: dev, cp: cp}
+	st := &runState{
+		shape:    shape,
+		poolable: poolable,
+		node: newNode(NodeConfig{
+			Spec:      shape.spec,
+			GPUs:      shape.gpus,
+			Power:     shape.power,
+			Telemetry: hub,
+		}, shape.hsa),
+		coreTels: make([]*core.Telemetry, shape.gpus),
 	}
-	st.workers = make([]*worker, shape.workers)
-	for i := range st.workers {
-		st.workers[i] = &worker{}
+	for g := range st.coreTels {
+		st.coreTels[g] = core.NewTelemetry(hub, g)
 	}
 	return st
 }
 
-// reset returns a pooled context to its just-built state: the engine heap
-// is recycled, devices and meters rezeroed, queues parked on their
-// processors' free lists. Worker slots are re-initialized by the setup
-// loop in Run, which overwrites every per-run field.
-func (st *runState) reset() {
-	st.eng.Reset()
-	for _, g := range st.gpus {
+// reset returns a pooled node to its just-built state: the engine heap is
+// recycled, devices and meters rezeroed, queues parked on their
+// processors' free lists, and every replica parked on its GPU's free list
+// in reverse creation order, so a rerun's AddReplica sequence gets the
+// same replicas back in the same order.
+func (n *Node) reset() {
+	n.eng.Reset()
+	for _, g := range n.gpus {
 		g.dev.Reset()
 		g.meter.Rezero()
 		g.cp.Reset()
 	}
+	n.inj = nil
+	for i := len(n.replicas) - 1; i >= 0; i-- {
+		n.replicas[i].recycle()
+		n.replicas[i] = nil
+	}
+	n.replicas = n.replicas[:0]
+	n.replicaSeq = 0
 }
 
 // release returns the context to the pool. Only called on the normal exit

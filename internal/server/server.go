@@ -15,14 +15,12 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 
 	"krisp/internal/core"
 	"krisp/internal/energy"
 	"krisp/internal/faults"
 	"krisp/internal/gpu"
 	"krisp/internal/hsa"
-	"krisp/internal/kernels"
 	"krisp/internal/metrics"
 	"krisp/internal/models"
 	"krisp/internal/policies"
@@ -101,10 +99,6 @@ type Config struct {
 	// deadline) abandon the simulation early; the engine polls it between
 	// events and Result.Interrupted reports the abort.
 	Ctx context.Context
-
-	// openLoop, when set by RunOpenLoop, replaces the closed-loop client
-	// with Poisson arrivals and dynamic batching.
-	openLoop *openLoop
 }
 
 // WorkerStats reports one worker's measurement-window results.
@@ -186,32 +180,30 @@ func BuildDB(spec gpu.DeviceSpec, workers []WorkerSpec) *profile.DB {
 }
 
 // Run executes one serving experiment and returns windowed measurements.
-func Run(cfg Config) Result {
+func Run(cfg Config) Result { return serve(cfg, nil) }
+
+// serve runs cfg.Workers on a pooled Node, one Replica per worker. The
+// arrival driver is the paper's closed loop (each replica is refilled with
+// a full batch the moment its previous batch ends) when ol is nil, and
+// ol's shared Poisson queue otherwise.
+func serve(cfg Config, ol *openLoop) Result {
 	if len(cfg.Workers) == 0 {
 		panic("server: no workers")
 	}
-	if cfg.Spec.Topo.TotalCUs() == 0 {
-		cfg.Spec = gpu.MI50Spec()
+	nc := NodeConfig{
+		Spec:          cfg.Spec,
+		HSA:           cfg.HSA,
+		GPUs:          cfg.GPUs,
+		Power:         cfg.Power,
+		Seed:          cfg.Seed,
+		PreprocessUs:  cfg.PreprocessUs,
+		PostprocessUs: cfg.PostprocessUs,
+		Jitter:        cfg.Jitter,
+		Telemetry:     cfg.Telemetry,
 	}
-	if cfg.HSA.PacketProcessTime == 0 {
-		cfg.HSA = hsa.DefaultConfig()
-	}
-	if cfg.Power.IdleW == 0 && cfg.Power.PerCUW == 0 {
-		cfg.Power = energy.MI50Power()
-	}
-	if cfg.PreprocessUs == 0 {
-		cfg.PreprocessUs = 150
-	}
-	if cfg.PostprocessUs == 0 {
-		cfg.PostprocessUs = 80
-	}
-	switch {
-	case cfg.Jitter == 0:
-		cfg.Jitter = 0.04
-	case cfg.Jitter < 0:
-		cfg.Jitter = 0
-	}
-
+	nc.setDefaults()
+	topo := nc.Spec.Topo
+	numGPUs := nc.GPUs
 	chaosArmed := !cfg.Faults.Empty()
 
 	// The profiler backs window auto-sizing and on-the-fly right-sizing;
@@ -221,7 +213,7 @@ func Run(cfg Config) Result {
 	var prof *profile.Profiler
 	getProf := func() *profile.Profiler {
 		if prof == nil {
-			prof = profile.New(profile.Config{Spec: cfg.Spec, Tolerance: 0.05, LaunchOverhead: cfg.HSA.PacketProcessTime})
+			prof = profile.New(profile.Config{Spec: nc.Spec, Tolerance: 0.05, LaunchOverhead: nc.HSA.PacketProcessTime})
 		}
 		return prof
 	}
@@ -231,11 +223,11 @@ func Run(cfg Config) Result {
 	var slowest sim.Duration
 	if cfg.Warmup == 0 || cfg.Measure == 0 || chaosArmed {
 		for _, w := range cfg.Workers {
-			if l := getProf().ModelLatency(w.Model.Kernels(w.Batch), cfg.Spec.Topo.TotalCUs()); l > slowest {
+			if l := getProf().ModelLatency(w.Model.Kernels(w.Batch), topo.TotalCUs()); l > slowest {
 				slowest = l
 			}
 		}
-		slowest += cfg.PreprocessUs + cfg.PostprocessUs
+		slowest += nc.PreprocessUs + nc.PostprocessUs
 	}
 	if cfg.Warmup == 0 {
 		cfg.Warmup = 5 * slowest
@@ -249,25 +241,16 @@ func Run(cfg Config) Result {
 		cfg.Measure = 180 * slowest * scale
 	}
 
-	numGPUs := cfg.GPUs
-	if numGPUs < 1 {
-		numGPUs = 1
-	}
-	hsaCfg := cfg.HSA
+	hsaCfg := nc.HSA
 	hsaCfg.KernelScoped = cfg.Policy.KernelScoped() && !cfg.ForceEmulation
 
-	// Acquire the run context: engine, per-GPU stacks, worker slots. A
-	// pooled context with a matching shape is reset in place; everything
-	// below reapplies the per-run configuration on top of it.
-	st := acquireRun(runShape{
-		spec:    cfg.Spec,
-		hsa:     hsaCfg,
-		power:   cfg.Power,
-		gpus:    numGPUs,
-		workers: len(cfg.Workers),
-	}, cfg.Telemetry)
-	eng := st.eng
-	gpus := st.gpus
+	// Acquire the run context: a node whose stacks match this run's shape.
+	// A pooled context is reset in place; everything below reapplies the
+	// per-run configuration on top of it.
+	st := acquireRun(runShape{spec: nc.Spec, hsa: hsaCfg, power: nc.Power, gpus: numGPUs}, cfg.Telemetry)
+	n := st.node
+	n.cfg = nc
+	eng := n.eng
 	if cfg.Ctx != nil {
 		ctx := cfg.Ctx
 		eng.SetInterrupt(func() bool { return ctx.Err() != nil })
@@ -294,7 +277,7 @@ func Run(cfg Config) Result {
 
 	db := cfg.DB
 	if db == nil && cfg.Policy.KernelScoped() {
-		db = BuildDB(cfg.Spec, cfg.Workers)
+		db = BuildDB(nc.Spec, cfg.Workers)
 	}
 
 	// Workers spread over devices round-robin; partitioning policies are
@@ -324,11 +307,11 @@ func Run(cfg Config) Result {
 		for j, wi := range idxs {
 			rs[j] = rightSizes[wi]
 		}
-		as := policies.Assign(cfg.Policy, cfg.Spec.Topo, rs)
+		as := policies.Assign(cfg.Policy, topo, rs)
 		for j, wi := range idxs {
 			assignments[wi] = as[j]
 		}
-		if policies.Oversubscribed(cfg.Spec.Topo, as) {
+		if policies.Oversubscribed(topo, as) {
 			anyOversub = true
 		}
 	}
@@ -340,36 +323,34 @@ func Run(cfg Config) Result {
 		}
 	}
 
-	var inj *faults.Injector
+	// The injector must be on the command processors before the queues'
+	// CU-mask IOCTLs below draw on it; its timeline is armed after them.
 	if chaosArmed {
-		inj = faults.NewInjector(eng, *cfg.Faults)
-		for _, g := range gpus {
-			g.cp.SetFaults(inj)
-		}
-		inj.SetTelemetry(faults.NewTelemetry(cfg.Telemetry))
+		n.setFaults(*cfg.Faults)
 	}
-	rs := core.NewRightSizer(db, cfg.Spec.Topo.TotalCUs())
+	inj := n.inj
+	rs := core.NewRightSizer(db, topo.TotalCUs())
 
-	measureStart := cfg.Warmup
-	measureEnd := cfg.Warmup + cfg.Measure
-
-	workers := st.workers
-	for i, spec := range cfg.Workers {
+	st.measureStart = cfg.Warmup
+	st.measureEnd = cfg.Warmup + cfg.Measure
+	st.chaos = nil
+	st.open = ol
+	if cap(st.slots) < len(cfg.Workers) {
+		st.slots = make([]runSlot, len(cfg.Workers))
+	}
+	slots := st.slots[:len(cfg.Workers)]
+	for i, w := range cfg.Workers {
 		a := assignments[i]
-		stack := gpus[i%numGPUs]
+		g := i % numGPUs
 		mode := a.Mode
 		if cfg.ForceEmulation && mode == core.ModeNative {
 			mode = core.ModeEmulated
 		}
-		q := stack.cp.NewQueue()
-		if !a.QueueMask.IsEmpty() && !a.QueueMask.Equal(gpu.FullMask(cfg.Spec.Topo)) {
-			q.SetCUMask(a.QueueMask, nil)
-		}
 		rtCfg := core.Config{
 			Mode:         mode,
 			OverlapLimit: a.OverlapLimit,
-			Device:       i % numGPUs,
-			Telemetry:    st.coreTels[i%numGPUs],
+			Device:       g,
+			Telemetry:    st.coreTels[g],
 		}
 		if i == 0 {
 			rtCfg.Trace = cfg.Trace
@@ -382,61 +363,33 @@ func Run(cfg Config) Result {
 				Stats:              &inj.Stats,
 			}
 		}
-		workerRS := rs
+		sizer := rs
 		if a.FixedPartition > 0 {
-			workerRS = core.NewFixedRightSizer(a.FixedPartition, cfg.Spec.Topo.TotalCUs())
+			sizer = core.NewFixedRightSizer(a.FixedPartition, topo.TotalCUs())
 		}
-		w := workers[i]
-		seed := cfg.Seed + int64(i)*7919 + 1
-		if w.rng == nil {
-			w.rng = rand.New(rand.NewSource(seed))
-		} else {
-			// Reseeding in place restores the exact state rand.New would
-			// produce, without the source allocation.
-			w.rng.Seed(seed)
+		batch := w.Batch
+		if ol != nil {
+			batch = ol.arrival.MaxBatch
 		}
-		if w.rt == nil {
-			w.rt = core.NewRuntime(eng, stack.cp, q, workerRS, rtCfg)
-		} else {
-			w.rt.Reconfigure(q, workerRS, rtCfg)
+		r := n.addReplica(ReplicaSpec{Model: w.Model, Batch: batch, GPU: g}, sizer, rtCfg)
+		q := r.rt.Queue()
+		if !a.QueueMask.IsEmpty() && !a.QueueMask.Equal(gpu.FullMask(topo)) {
+			q.SetCUMask(a.QueueMask, nil)
 		}
-		// The cached kernel sequence is a pure function of (model, batch);
-		// invalidate it only when the slot's workload changed.
-		if w.spec.Model.Name != spec.Model.Name || w.spec.Batch != spec.Batch {
-			w.baseDescs = nil
-		}
-		w.spec = spec
-		w.eng = eng
-		w.pre = cfg.PreprocessUs
-		w.post = cfg.PostprocessUs
-		w.jitter = cfg.Jitter
-		w.measureStart = measureStart
-		w.measureEnd = measureEnd
 		// Fresh stats every run: the latency Sample escapes into Result,
 		// so its backing store must never be recycled.
-		w.stats = WorkerStats{Model: spec.Model.Name, Batch: spec.Batch}
-		w.openLoop = cfg.openLoop
-		w.chaos = nil
-		w.wd = nil
-		w.batchStart = 0
-		w.tel = newWorkerTelemetry(cfg.Telemetry, spec.Model.Name, i%numGPUs, q.ID)
+		slots[i] = runSlot{
+			st:    st,
+			stats: WorkerStats{Model: w.Model.Name, Batch: w.Batch},
+			tel:   newWorkerTelemetry(cfg.Telemetry, w.Model.Name, g, q.ID),
+		}
+		r.slot = &slots[i]
 	}
 
 	// Arm the chaos substrate now that every queue exists: inject the fault
-	// timeline, start the SLO guard, and hand each worker its watchdog.
+	// timeline and start the SLO guard; each batch start arms its watchdog.
 	if inj != nil {
-		if cap(st.devs) < numGPUs {
-			st.devs = make([]*gpu.Device, numGPUs)
-			st.cps = make([]*hsa.CommandProcessor, numGPUs)
-		}
-		devs := st.devs[:numGPUs]
-		cps := st.cps[:numGPUs]
-		for g := range gpus {
-			devs[g] = gpus[g].dev
-			cps[g] = gpus[g].cp
-		}
-		inj.Arm(devs, cps)
-
+		n.armFaults()
 		plan := inj.Plan()
 		ch := &chaosHarness{
 			eng:          eng,
@@ -445,15 +398,14 @@ func Run(cfg Config) Result {
 			window:       plan.SLOWindow,
 			p99Threshold: float64(plan.SLOP99),
 			cooldown:     plan.SLOCooldown,
-			stopAt:       measureEnd,
+			stopAt:       st.measureEnd,
 		}
 		if reg := cfg.Telemetry.Registry(); reg != nil {
 			ch.sloViolations = reg.Counter("krisp_server_slo_violations_total",
 				"SLO-guard windows whose p99 exceeded the threshold")
 		}
-		for _, w := range workers {
-			ch.runtimes = append(ch.runtimes, w.rt)
-			w.chaos = ch
+		for _, r := range n.replicas {
+			ch.runtimes = append(ch.runtimes, r.rt)
 		}
 		// Auto-size the hardening deadlines from the slowest worker's
 		// isolated latency: generous enough that contention alone never
@@ -471,33 +423,32 @@ func Run(cfg Config) Result {
 		if ch.cooldown <= 0 {
 			ch.cooldown = 2 * ch.window
 		}
+		st.chaos = ch
 		ch.startGuard()
 	}
 
-	if ol := cfg.openLoop; ol != nil {
-		ol.measureStart = measureStart
-		ol.measureEnd = measureEnd
+	if ol != nil {
 		ol.start(eng, cfg.Seed)
-		for _, w := range workers {
-			ol.park(w)
+		for _, r := range n.replicas {
+			ol.park(r)
 		}
 	} else {
-		for _, w := range workers {
-			w.start()
+		for _, r := range n.replicas {
+			r.refill()
 		}
 	}
 
 	// Warm up, then open the measurement window.
-	eng.RunUntil(measureStart)
-	for _, g := range gpus {
+	eng.RunUntil(st.measureStart)
+	for _, g := range n.gpus {
 		g.meter.Reset(eng.Now())
 		g.dev.ResetUtilization()
 	}
-	eng.RunUntil(measureEnd)
+	eng.RunUntil(st.measureEnd)
 
 	var energyJ, busySum float64
-	for _, g := range gpus {
-		energyJ += g.meter.EnergyJ(measureEnd)
+	for _, g := range n.gpus {
+		energyJ += g.meter.EnergyJ(st.measureEnd)
 		busySum += g.dev.AvgBusyCUs()
 	}
 	result := Result{
@@ -509,15 +460,15 @@ func Run(cfg Config) Result {
 		Interrupted:    eng.Interrupted(),
 	}
 	if inj != nil {
-		for _, w := range workers {
-			w.rt.FlushDegradedTime()
+		for _, r := range n.replicas {
+			r.rt.FlushDegradedTime()
 		}
 		stats := inj.Stats
 		result.Faults = &stats
 	}
-	result.Workers = make([]WorkerStats, 0, len(workers))
-	for _, w := range workers {
-		result.Workers = append(result.Workers, w.stats)
+	result.Workers = make([]WorkerStats, len(slots))
+	for i := range slots {
+		result.Workers[i] = slots[i].stats
 	}
 	result.RPS = metrics.Throughput(result.TotalRequests(), float64(cfg.Measure))
 	result.EnergyPerInference = energy.PerInference(result.EnergyJ, result.TotalRequests())
@@ -525,112 +476,53 @@ func Run(cfg Config) Result {
 	return result
 }
 
-// worker is one closed-loop model worker: it owns a stream and keeps a
-// batch in flight at all times.
-type worker struct {
-	spec   WorkerSpec
-	rt     *core.Runtime
-	rng    *rand.Rand
-	eng    *sim.Engine
-	pre    sim.Duration
-	post   sim.Duration
-	jitter float64
-
-	measureStart, measureEnd sim.Time
-	stats                    WorkerStats
-	openLoop                 *openLoop
-	chaos                    *chaosHarness
-	tel                      *workerTelemetry
-
-	// baseDescs caches the closed-loop kernel sequence (fixed batch size);
-	// descBuf is the reusable jittered copy. RunSequence copies every desc
-	// by value into its packets before returning, so the buffer is free for
-	// the next batch as soon as the sequence is submitted.
-	baseDescs []kernels.Desc
-	descBuf   []kernels.Desc
-
-	// The closed loop keeps exactly one batch in flight, so the batch
-	// lifecycle lives in worker fields driven by pre-bound hooks instead
-	// of a per-batch closure chain — the steady-state loop allocates
-	// nothing.
-	batchStart sim.Time
-	wd         *watchdog
-	preFn      func()
-	seqFn      func()
-	postFn     func()
+// runSlot is Run's bookkeeping for the replica serving one of
+// Config.Workers: the windowed stats, the batch telemetry, and the
+// watchdog guarding the batch in flight.
+type runSlot struct {
+	st    *runState
+	stats WorkerStats
+	tel   *workerTelemetry
+	wd    *watchdog
 }
 
-func (w *worker) start() {
-	if w.preFn == nil {
-		w.preFn = w.preDone
-		w.seqFn = w.seqDone
-		w.postFn = w.postDone
+// refill starts the closed loop's next batch: Batch requests arriving now.
+func (r *Replica) refill() {
+	now := r.node.eng.Now()
+	for i := 0; i < r.spec.Batch; i++ {
+		r.queue = append(r.queue, pending{arrival: now, enq: now})
 	}
-	w.runBatch()
+	r.maybeStart()
 }
 
-func (w *worker) runBatch() {
-	w.batchStart = w.eng.Now()
-	if w.chaos != nil {
-		w.wd = w.chaos.armWatchdog(w)
+// batchDone consumes the completions of the batch r just finished and
+// hands the replica back to the arrival driver: the closed loop refills
+// it, the open loop parks it until work is queued.
+func (s *runSlot) batchDone(r *Replica) {
+	st := s.st
+	if s.wd != nil {
+		s.wd.stop()
+		s.wd = nil
 	}
-	w.eng.After(w.pre, w.preFn)
-}
-
-// preDone fires when pre-processing completes: submit the batch's kernel
-// sequence.
-func (w *worker) preDone() {
-	w.rt.RunSequence(w.jitteredKernels(), w.seqFn)
-}
-
-// seqDone fires when the last kernel completes: pay post-processing.
-func (w *worker) seqDone() { w.eng.After(w.post, w.postFn) }
-
-// postDone closes out the batch and immediately starts the next one.
-func (w *worker) postDone() {
-	if w.wd != nil {
-		w.wd.stop()
-		w.wd = nil
+	cs := r.completions
+	first := cs[0]
+	if st.chaos != nil {
+		st.chaos.observeBatch(first.End - first.BatchStart)
 	}
-	end := w.eng.Now()
-	if w.chaos != nil {
-		w.chaos.observeBatch(end - w.batchStart)
+	s.tel.observeBatch(len(cs), first.BatchStart, first.End)
+	inWindow := first.End > st.measureStart && first.End <= st.measureEnd
+	if inWindow {
+		s.stats.Batches++
+		s.stats.Requests += len(cs)
+		s.stats.BatchLatency.Add(first.End - first.Arrival)
 	}
-	w.tel.observeBatch(w.spec.Batch, w.batchStart, end)
-	if end > w.measureStart && end <= w.measureEnd {
-		w.stats.Batches++
-		w.stats.Requests += w.spec.Batch
-		w.stats.BatchLatency.Add(end - w.batchStart)
+	if st.open != nil {
+		st.open.complete(cs, inWindow)
 	}
-	w.runBatch()
-}
-
-// jitteredKernels returns the model's kernel sequence with small
-// per-instance duration noise, modelling run-to-run variance so tail
-// latencies are meaningful. The closed-loop batch size never changes, so
-// the base sequence is built once and the jittered copy lands in the
-// worker's reusable buffer instead of a fresh slice per batch.
-func (w *worker) jitteredKernels() []kernels.Desc {
-	if w.baseDescs == nil {
-		w.baseDescs = w.spec.Model.Kernels(w.spec.Batch)
+	r.completions = cs[:0]
+	if st.open != nil {
+		st.open.park(r)
+	} else {
+		r.refill()
 	}
-	return w.jittered(w.baseDescs)
-}
-
-// jittered applies per-instance duration noise into the worker's reusable
-// desc buffer (the input is returned untouched when jitter is off).
-func (w *worker) jittered(descs []kernels.Desc) []kernels.Desc {
-	if w.jitter == 0 {
-		return descs
-	}
-	if cap(w.descBuf) < len(descs) {
-		w.descBuf = make([]kernels.Desc, len(descs))
-	}
-	out := w.descBuf[:len(descs)]
-	for i := range descs {
-		f := 1 + w.jitter*(2*w.rng.Float64()-1)
-		out[i] = descs[i]
-		out[i].Work.WGTime *= sim.Duration(f)
-	}
-	return out
 }
