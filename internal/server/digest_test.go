@@ -111,13 +111,13 @@ func TestRunOutputDigests(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		{"open-loop-3000", 0xe82e1fa98f42ee8f, func(h hash.Hash) {
+		{"open-loop-3000", 0x16e8e97736030a3e, func(h hash.Hash) {
 			r := RunOpenLoop(base(policies.KRISPI, WorkerSpec{Model: sq, Batch: 32}, WorkerSpec{Model: sq, Batch: 32}),
 				Arrival{RatePerSec: 3000})
 			writeResult(h, &r.Result)
 			fmt.Fprintf(h, "offered=%v completed=%v mean=%v lat=%v\n", r.Offered, r.Completed, r.MeanBatch, r.RequestLatency.Values())
 		}},
-		{"open-loop-6000", 0xab1412c3652486aa, func(h hash.Hash) {
+		{"open-loop-6000", 0x63eca9355abcf7e8, func(h hash.Hash) {
 			r := RunOpenLoop(base(policies.KRISPI, WorkerSpec{Model: sq, Batch: 32}, WorkerSpec{Model: sq, Batch: 32}),
 				Arrival{RatePerSec: 6000})
 			writeResult(h, &r.Result)

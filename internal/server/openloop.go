@@ -83,6 +83,9 @@ type openLoop struct {
 	queue   []sim.Time // arrival timestamps of waiting requests
 	waiting []*Replica // idle replicas parked until work arrives
 
+	flushArmed bool
+	flushFn    func()
+
 	latency           metrics.Sample
 	completedInWindow int
 	served, batches   int
@@ -92,6 +95,7 @@ type openLoop struct {
 func (ol *openLoop) start(eng *sim.Engine, seed int64) {
 	ol.eng = eng
 	ol.rng = rand.New(rand.NewSource(seed ^ 0x5eed))
+	ol.flushFn = ol.flush
 	ol.scheduleNext()
 }
 
@@ -106,27 +110,32 @@ func (ol *openLoop) scheduleNext() {
 	})
 }
 
-// dispatch hands work to a parked replica when batching conditions are met.
+// dispatch hands queued requests to parked replicas: a full batch goes at
+// once, and so does a partial one whose head has waited out
+// Arrival.Timeout. Otherwise, while a replica is parked, one flush timer
+// stays armed for the head's deadline, so the timeout bounds every wait —
+// also for a head that arrived while every replica was busy, or that was
+// left behind a full batch.
 func (ol *openLoop) dispatch() {
-	if len(ol.waiting) == 0 || len(ol.queue) == 0 {
-		return
-	}
-	// Dispatch immediately on a full batch; otherwise the oldest request's
-	// timeout (armed when it arrived at an empty queue) will flush.
-	if len(ol.queue) >= ol.arrival.MaxBatch || ol.eng.Now()-ol.queue[0] >= ol.arrival.Timeout {
-		ol.wake()
-		return
-	}
-	if len(ol.queue) == 1 {
+	for len(ol.waiting) > 0 && len(ol.queue) > 0 {
 		deadline := ol.queue[0] + ol.arrival.Timeout
-		first := ol.queue[0]
-		ol.eng.At(deadline, func() {
-			// Flush if that same request is still queued.
-			if len(ol.queue) > 0 && ol.queue[0] == first {
-				ol.wake()
+		if len(ol.queue) < ol.arrival.MaxBatch && ol.eng.Now() < deadline {
+			// Heads only get younger, so a pending timer is never later
+			// than this deadline; when it fires early, dispatch re-arms.
+			if !ol.flushArmed {
+				ol.flushArmed = true
+				ol.eng.At(deadline, ol.flushFn)
 			}
-		})
+			return
+		}
+		ol.wake()
 	}
+}
+
+// flush fires at a head's deadline.
+func (ol *openLoop) flush() {
+	ol.flushArmed = false
+	ol.dispatch()
 }
 
 // wake pops a parked replica and gives it a batch of the oldest queued

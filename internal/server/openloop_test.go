@@ -1,9 +1,14 @@
 package server
 
 import (
+	"math"
+	"math/rand"
+	"sort"
 	"testing"
 
 	"krisp/internal/policies"
+	"krisp/internal/sim"
+	"krisp/internal/telemetry"
 )
 
 func runOpen(t *testing.T, rate float64, workers int) OpenLoopResult {
@@ -78,6 +83,58 @@ func TestOpenLoopPartialBatchAtTimeout(t *testing.T) {
 	if long.MeanBatch <= short.MeanBatch*1.5 {
 		t.Errorf("longer timeout did not grow batches: %.1f vs %.1f",
 			long.MeanBatch, short.MeanBatch)
+	}
+
+	// The timeout is an upper bound on a partial batch's wait: every batch
+	// starts no later than its head request's deadline or the moment its
+	// worker went idle, whichever is later — also when the head arrived
+	// while every worker was busy, or was left over behind a full batch.
+	// The tracer's batch spans give each worker's batch starts, ends and
+	// sizes; the head arrivals replay the run's Poisson sequence.
+	const seed, timeout, end = 42, 500.0, 310_000.0
+	for _, rate := range []float64{1500, 3000, 6000} {
+		hub := telemetry.NewHub(true)
+		RunOpenLoop(Config{
+			Policy:    policies.KRISPI,
+			Workers:   []WorkerSpec{{Model: m, Batch: 32}, {Model: m, Batch: 32}},
+			Seed:      seed,
+			Warmup:    10_000,
+			Measure:   end - 10_000,
+			Telemetry: hub,
+		}, Arrival{RatePerSec: rate, Timeout: timeout})
+		var spans []telemetry.Event
+		for _, e := range hub.Tracer.Events() {
+			if e.Cat == "server" {
+				spans = append(spans, e)
+			}
+		}
+		sort.SliceStable(spans, func(i, j int) bool { return spans[i].Ts < spans[j].Ts })
+		rng := rand.New(rand.NewSource(seed ^ 0x5eed))
+		var arrival sim.Time
+		next := func() sim.Time {
+			arrival += sim.Duration(rng.ExpFloat64() * 1e6 / rate)
+			return arrival
+		}
+		idle := map[int]sim.Time{} // per worker queue: when its last batch ended
+		checked := 0
+		for _, s := range spans {
+			if s.Ts > end-20_000 {
+				break // later batches may still be in flight at the end
+			}
+			head := next()
+			for i := 1; i < int(s.ArgVal); i++ {
+				next()
+			}
+			if bound := math.Max(head+timeout, idle[s.Tid]); s.Ts > bound+1e-6 {
+				t.Errorf("rate %.0f: batch of %.0f started at %.1fus, %.1fus past max(head deadline, worker idle)",
+					rate, s.ArgVal, s.Ts, s.Ts-bound)
+			}
+			idle[s.Tid] = s.Ts + s.Dur
+			checked++
+		}
+		if checked < 50 {
+			t.Fatalf("rate %.0f: only %d batches checked", rate, checked)
+		}
 	}
 }
 
