@@ -40,6 +40,13 @@ type OpenLoopResult struct {
 // Workers' Model must be identical (one service endpoint); their Batch
 // field sets the maximum batch size unless arrival.MaxBatch overrides it.
 func RunOpenLoop(cfg Config, arrival Arrival) OpenLoopResult {
+	out, _ := runOpenLoop(cfg, arrival)
+	return out
+}
+
+// runOpenLoop is RunOpenLoop that also returns its arrival driver, whose
+// request counters let tests check conservation.
+func runOpenLoop(cfg Config, arrival Arrival) (OpenLoopResult, *openLoop) {
 	if len(cfg.Workers) == 0 {
 		panic("server: no workers")
 	}
@@ -70,7 +77,7 @@ func RunOpenLoop(cfg Config, arrival Arrival) OpenLoopResult {
 	if ol.batches > 0 {
 		out.MeanBatch = float64(ol.served) / float64(ol.batches)
 	}
-	return out
+	return out, ol
 }
 
 // openLoop is the open-loop arrival driver: a shared Poisson request queue
@@ -89,6 +96,9 @@ type openLoop struct {
 	latency           metrics.Sample
 	completedInWindow int
 	served, batches   int
+	// arrivals counts generated requests; inFlight counts those the
+	// replicas still held when the run ended.
+	arrivals, inFlight int
 }
 
 // start begins the Poisson arrival process.
@@ -104,6 +114,7 @@ func (ol *openLoop) scheduleNext() {
 	mean := 1e6 / ol.arrival.RatePerSec
 	d := sim.Duration(ol.rng.ExpFloat64() * mean)
 	ol.eng.After(d, func() {
+		ol.arrivals++
 		ol.queue = append(ol.queue, ol.eng.Now())
 		ol.dispatch()
 		ol.scheduleNext()

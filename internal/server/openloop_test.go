@@ -18,11 +18,24 @@ func runOpen(t *testing.T, rate float64, workers int) OpenLoopResult {
 	for i := range specs {
 		specs[i] = WorkerSpec{Model: m, Batch: 32}
 	}
-	return RunOpenLoop(Config{
+	return runOpenChecked(t, Config{
 		Policy:  policies.KRISPI,
 		Workers: specs,
 		Seed:    11,
 	}, Arrival{RatePerSec: rate})
+}
+
+// runOpenChecked runs an open-loop experiment and checks request
+// conservation at its end: every generated arrival has completed, is in
+// flight on a replica, or is still in the shared queue.
+func runOpenChecked(t *testing.T, cfg Config, arrival Arrival) OpenLoopResult {
+	t.Helper()
+	res, ol := runOpenLoop(cfg, arrival)
+	if ol.arrivals != ol.served+ol.inFlight+len(ol.queue) {
+		t.Fatalf("open loop lost requests: %d arrivals != %d completed + %d in flight + %d queued",
+			ol.arrivals, ol.served, ol.inFlight, len(ol.queue))
+	}
+	return res
 }
 
 func TestOpenLoopLightLoad(t *testing.T) {
@@ -65,7 +78,7 @@ func TestOpenLoopSaturation(t *testing.T) {
 func TestOpenLoopPartialBatchAtTimeout(t *testing.T) {
 	m := mustModel(t, "squeezenet")
 	run := func(timeoutUs float64) OpenLoopResult {
-		return RunOpenLoop(Config{
+		return runOpenChecked(t, Config{
 			Policy:  policies.KRISPI,
 			Workers: []WorkerSpec{{Model: m, Batch: 32}, {Model: m, Batch: 32}},
 			Seed:    11,
@@ -94,7 +107,7 @@ func TestOpenLoopPartialBatchAtTimeout(t *testing.T) {
 	const seed, timeout, end = 42, 500.0, 310_000.0
 	for _, rate := range []float64{1500, 3000, 6000} {
 		hub := telemetry.NewHub(true)
-		RunOpenLoop(Config{
+		runOpenChecked(t, Config{
 			Policy:    policies.KRISPI,
 			Workers:   []WorkerSpec{{Model: m, Batch: 32}, {Model: m, Batch: 32}},
 			Seed:      seed,

@@ -459,6 +459,11 @@ func serve(cfg Config, ol *openLoop) Result {
 		Oversubscribed: (cfg.Policy == policies.ModelRightSize || cfg.Policy == policies.MRSRequest) && anyOversub,
 		Interrupted:    eng.Interrupted(),
 	}
+	if ol != nil {
+		for _, r := range n.replicas {
+			ol.inFlight += len(r.queue) + len(r.inflight)
+		}
+	}
 	if inj != nil {
 		for _, r := range n.replicas {
 			r.rt.FlushDegradedTime()

@@ -24,7 +24,15 @@ func run(t *testing.T, policy policies.Kind, workers int, model string, batch in
 	for i := range specs {
 		specs[i] = WorkerSpec{Model: mustModel(t, model), Batch: batch}
 	}
-	return Run(Config{Policy: policy, Workers: specs, Seed: 42})
+	res := Run(Config{Policy: policy, Workers: specs, Seed: 42})
+	// Closed-loop conservation: every counted batch served exactly Batch
+	// requests.
+	for i, w := range res.Workers {
+		if w.Requests != w.Batches*w.Batch {
+			t.Fatalf("worker %d: %d requests in %d batches of %d", i, w.Requests, w.Batches, w.Batch)
+		}
+	}
+	return res
 }
 
 func TestSingleWorkerBaseline(t *testing.T) {
