@@ -90,6 +90,8 @@ type openLoop struct {
 	queue   []sim.Time // arrival timestamps of waiting requests
 	waiting []*Replica // idle replicas parked until work arrives
 
+	// flushArmed marks a pending head-deadline timer; flushFn is its
+	// pre-bound callback.
 	flushArmed bool
 	flushFn    func()
 
@@ -150,11 +152,8 @@ func (ol *openLoop) flush() {
 }
 
 // wake pops a parked replica and gives it a batch of the oldest queued
-// requests.
+// requests; dispatch guarantees both exist.
 func (ol *openLoop) wake() {
-	if len(ol.waiting) == 0 || len(ol.queue) == 0 {
-		return
-	}
 	r := ol.waiting[0]
 	ol.waiting = ol.waiting[1:]
 	n := len(ol.queue)

@@ -1,14 +1,16 @@
 // Package server models the paper's custom GPU inference server (§VI-A):
-// a frontend feeding per-worker request queues, and independent workers
-// that each own one GPU stream (HSA queue) and process batches back to
-// back — pre-processing, an inference pass of hundreds of kernel calls,
-// then post-processing.
+// independent workers that each own one GPU stream (HSA queue) and process
+// batches back to back — pre-processing, an inference pass of hundreds of
+// kernel calls, then post-processing. One batching core implements that
+// loop, the Replica on a Node; three arrival drivers feed it: Run's
+// closed-loop client, RunOpenLoop's Poisson queue, and the cluster layer's
+// router.
 //
-// Matching the paper's methodology, the load generator is closed-loop and
-// drives the server at maximum load: every worker always has a batch ready.
-// Measurements are windowed: a warmup phase reaches steady state, then
-// throughput, tail latency, and energy are collected over a measurement
-// window of virtual time.
+// Matching the paper's methodology, Run's load generator is closed-loop
+// and drives the server at maximum load: every worker always has a batch
+// ready. Measurements are windowed: a warmup phase reaches steady state,
+// then throughput, tail latency, and energy are collected over a
+// measurement window of virtual time.
 package server
 
 import (
