@@ -9,7 +9,6 @@ import (
 	"krisp/internal/hsa"
 	"krisp/internal/policies"
 	"krisp/internal/sim"
-	"krisp/internal/telemetry"
 )
 
 // runShape fingerprints everything baked into a pooled run context at
@@ -66,17 +65,20 @@ type statePool interface {
 // runPool recycles run contexts across Run invocations.
 var runPool statePool = &sync.Pool{}
 
-// acquireRun returns a run context for the given shape: a pooled one reset
-// in place when available, a freshly built one otherwise. Telemetry runs
-// are never pooled — their stack wiring holds per-hub handles — so they
-// build fresh and are discarded on release.
-func acquireRun(shape runShape, hub *telemetry.Hub) *runState {
-	poolable := hub == nil
+// acquireRun returns a run context for a defaulted node config whose
+// command processors use hsaCfg: a pooled one of the same shape reset in
+// place when available, a freshly built one otherwise. Telemetry runs are
+// never pooled — their stack wiring holds per-hub handles — so they build
+// fresh and are discarded on release.
+func acquireRun(nc NodeConfig, hsaCfg hsa.Config) *runState {
+	shape := runShape{spec: nc.Spec, hsa: hsaCfg, power: nc.Power, gpus: nc.GPUs}
+	poolable := nc.Telemetry == nil
 	if poolable {
 		if v := runPool.Get(); v != nil {
 			st := v.(*runState)
 			if st.shape == shape {
 				st.node.reset()
+				st.node.cfg = nc
 				return st
 			}
 			// Shape mismatch: drop the stale context and build fresh.
@@ -85,16 +87,11 @@ func acquireRun(shape runShape, hub *telemetry.Hub) *runState {
 	st := &runState{
 		shape:    shape,
 		poolable: poolable,
-		node: newNode(NodeConfig{
-			Spec:      shape.spec,
-			GPUs:      shape.gpus,
-			Power:     shape.power,
-			Telemetry: hub,
-		}, shape.hsa),
-		coreTels: make([]*core.Telemetry, shape.gpus),
+		node:     newNode(nc, hsaCfg),
+		coreTels: make([]*core.Telemetry, nc.GPUs),
 	}
 	for g := range st.coreTels {
-		st.coreTels[g] = core.NewTelemetry(hub, g)
+		st.coreTels[g] = core.NewTelemetry(nc.Telemetry, g)
 	}
 	return st
 }
@@ -102,8 +99,7 @@ func acquireRun(shape runShape, hub *telemetry.Hub) *runState {
 // reset returns a pooled node to its just-built state: the engine heap is
 // recycled, devices and meters rezeroed, queues parked on their
 // processors' free lists, and every replica parked on its GPU's free list
-// in reverse creation order, so a rerun's AddReplica sequence gets the
-// same replicas back in the same order.
+// so that a rerun gets the same replicas back in creation order.
 func (n *Node) reset() {
 	n.eng.Reset()
 	for _, g := range n.gpus {

@@ -249,9 +249,8 @@ func serve(cfg Config, ol *openLoop) Result {
 	// Acquire the run context: a node whose stacks match this run's shape.
 	// A pooled context is reset in place; everything below reapplies the
 	// per-run configuration on top of it.
-	st := acquireRun(runShape{spec: nc.Spec, hsa: hsaCfg, power: nc.Power, gpus: numGPUs}, cfg.Telemetry)
+	st := acquireRun(nc, hsaCfg)
 	n := st.node
-	n.cfg = nc
 	eng := n.eng
 	if cfg.Ctx != nil {
 		ctx := cfg.Ctx
