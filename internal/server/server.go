@@ -522,12 +522,10 @@ func (s *runSlot) batchDone(r *Replica) {
 		s.stats.Requests += len(cs)
 		s.stats.BatchLatency.Add(first.End - first.Arrival)
 	}
-	if st.open != nil {
-		st.open.complete(cs, inWindow)
-	}
-	r.completions = cs[:0]
-	if st.open != nil {
-		st.open.park(r)
+	r.completions = cs[:0] // cs stays intact until the next batch ends
+	if ol := st.open; ol != nil {
+		ol.complete(cs, inWindow)
+		ol.park(r)
 	} else {
 		r.refill()
 	}
