@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 )
 
@@ -32,6 +33,46 @@ type Event struct {
 	NCtr    int
 }
 
+// traceChunk is the record count of one storage chunk (a power of two).
+// Chunks are never reallocated once full, so a long trace grows one chunk
+// at a time instead of copying every recorded event on each slice growth.
+const traceChunk = 1 << 14
+
+// chunked is an append-only sequence stored in fixed-size chunks.
+type chunked[T any] struct {
+	chunks [][]T
+	n      int
+}
+
+func (c *chunked[T]) push(v T) {
+	k := len(c.chunks)
+	if k == 0 || len(c.chunks[k-1]) == traceChunk {
+		var next []T
+		if k > 0 { // the first chunk grows by append, so small traces stay small
+			next = make([]T, 0, traceChunk)
+		}
+		c.chunks = append(c.chunks, next)
+		k++
+	}
+	c.chunks[k-1] = append(c.chunks[k-1], v)
+	c.n++
+}
+
+func (c *chunked[T]) at(i int) *T { return &c.chunks[i/traceChunk][i%traceChunk] }
+
+// record is the stored form of an Event. A counter event keeps its values
+// in Tracer.ctrVals and its keys as an interned set in Tracer.ctrKeys, so a
+// record is about a third of an Event's size.
+type record struct {
+	cat, name, argKey string
+	pid, tid          int
+	ts, dur, argVal   float64
+	ctrOff            int   // 'C': index of the first value in Tracer.ctrVals
+	ctrSet            int32 // 'C': index into Tracer.ctrKeys
+	nCtr              uint8
+	ph                byte
+}
+
 // Tracer records spans, instants, and counter time-series against the
 // virtual clock. It is concurrency-safe (parallel grid cells may share
 // one), and every method is nil-receiver safe so call sites gate tracing
@@ -41,8 +82,12 @@ type Event struct {
 // it is an opt-in tool for bounded runs (quick experiments, single
 // scenarios), not an always-on production path.
 type Tracer struct {
-	mu     sync.Mutex
-	events []Event
+	mu      sync.Mutex
+	records chunked[record]
+	ctrVals chunked[float64]
+	// Distinct counter key sets, in first-use order; devices of one
+	// topology all share a set.
+	ctrKeys [][]string
 	// process/thread display names for the Perfetto UI, keyed by pid and
 	// (pid, tid).
 	procNames   map[int]string
@@ -60,9 +105,9 @@ func NewTracer() *Tracer {
 // Enabled reports whether events will be recorded (false for nil).
 func (t *Tracer) Enabled() bool { return t != nil }
 
-func (t *Tracer) add(e Event) {
+func (t *Tracer) add(r record) {
 	t.mu.Lock()
-	t.events = append(t.events, e)
+	t.records.push(r)
 	t.mu.Unlock()
 }
 
@@ -71,7 +116,7 @@ func (t *Tracer) Span(cat, name string, pid, tid int, start, end float64) {
 	if t == nil {
 		return
 	}
-	t.add(Event{Ph: 'X', Cat: cat, Name: name, Pid: pid, Tid: tid, Ts: start, Dur: end - start})
+	t.add(record{ph: 'X', cat: cat, name: name, pid: pid, tid: tid, ts: start, dur: end - start})
 }
 
 // SpanArg records a complete span carrying one numeric argument.
@@ -79,8 +124,8 @@ func (t *Tracer) SpanArg(cat, name string, pid, tid int, start, end float64, arg
 	if t == nil {
 		return
 	}
-	t.add(Event{Ph: 'X', Cat: cat, Name: name, Pid: pid, Tid: tid, Ts: start, Dur: end - start,
-		ArgKey: argKey, ArgVal: argVal})
+	t.add(record{ph: 'X', cat: cat, name: name, pid: pid, tid: tid, ts: start, dur: end - start,
+		argKey: argKey, argVal: argVal})
 }
 
 // Instant records a zero-duration marker with one numeric argument
@@ -89,7 +134,7 @@ func (t *Tracer) Instant(cat, name string, pid, tid int, ts float64, argKey stri
 	if t == nil {
 		return
 	}
-	t.add(Event{Ph: 'i', Cat: cat, Name: name, Pid: pid, Tid: tid, Ts: ts, ArgKey: argKey, ArgVal: argVal})
+	t.add(record{ph: 'i', cat: cat, name: name, pid: pid, tid: tid, ts: ts, argKey: argKey, argVal: argVal})
 }
 
 // CounterEvent records a named multi-series counter sample at ts — Perfetto
@@ -106,12 +151,39 @@ func (t *Tracer) CounterEvent(name string, pid int, ts float64, keys []string, v
 	if n > maxCtrSeries {
 		n = maxCtrSeries
 	}
-	e := Event{Ph: 'C', Name: name, Pid: pid, Ts: ts, NCtr: n}
-	for i := 0; i < n; i++ {
-		e.CtrKeys[i] = keys[i]
-		e.CtrVals[i] = vals[i]
+	t.mu.Lock()
+	r := record{ph: 'C', name: name, pid: pid, ts: ts, nCtr: uint8(n),
+		ctrOff: t.ctrVals.n, ctrSet: t.internKeys(keys[:n])}
+	for _, v := range vals[:n] {
+		t.ctrVals.push(v)
 	}
-	t.add(e)
+	t.records.push(r)
+	t.mu.Unlock()
+}
+
+// internKeys returns the index of a stored key set equal to keys, storing a
+// copy first if there is none. t.mu must be held.
+func (t *Tracer) internKeys(keys []string) int32 {
+	for i := len(t.ctrKeys) - 1; i >= 0; i-- {
+		if slices.Equal(t.ctrKeys[i], keys) {
+			return int32(i)
+		}
+	}
+	t.ctrKeys = append(t.ctrKeys, slices.Clone(keys))
+	return int32(len(t.ctrKeys) - 1)
+}
+
+// event expands a record into its public form. t.mu must be held.
+func (t *Tracer) event(r *record) Event {
+	e := Event{Ph: r.ph, Cat: r.cat, Name: r.name, Pid: r.pid, Tid: r.tid, Ts: r.ts, Dur: r.dur,
+		ArgKey: r.argKey, ArgVal: r.argVal, NCtr: int(r.nCtr)}
+	if r.ph == 'C' {
+		copy(e.CtrKeys[:], t.ctrKeys[r.ctrSet])
+		for j := 0; j < e.NCtr; j++ {
+			e.CtrVals[j] = *t.ctrVals.at(r.ctrOff + j)
+		}
+	}
+	return e
 }
 
 // NameProcess sets the display name Perfetto shows for pid.
@@ -141,7 +213,7 @@ func (t *Tracer) Len() int {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.events)
+	return t.records.n
 }
 
 // CountCat returns how many events carry the given category.
@@ -152,9 +224,11 @@ func (t *Tracer) CountCat(cat string) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	n := 0
-	for i := range t.events {
-		if t.events[i].Cat == cat {
-			n++
+	for _, c := range t.records.chunks {
+		for i := range c {
+			if c[i].cat == cat {
+				n++
+			}
 		}
 	}
 	return n
@@ -167,8 +241,12 @@ func (t *Tracer) Events() []Event {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]Event, len(t.events))
-	copy(out, t.events)
+	out := make([]Event, 0, t.records.n)
+	for _, c := range t.records.chunks {
+		for i := range c {
+			out = append(out, t.event(&c[i]))
+		}
+	}
 	return out
 }
 
@@ -231,32 +309,35 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		}
 	}
 
-	for i := range t.events {
-		e := &t.events[i]
-		je := jsonEvent{Name: e.Name, Cat: e.Cat, Ph: string(e.Ph), Ts: e.Ts, Pid: e.Pid, Tid: e.Tid}
-		switch e.Ph {
-		case 'X':
-			d := e.Dur
-			je.Dur = &d
-			if e.ArgKey != "" {
-				je.Args = map[string]any{e.ArgKey: e.ArgVal}
+	for _, c := range t.records.chunks {
+		for i := range c {
+			r := &c[i]
+			je := jsonEvent{Name: r.name, Cat: r.cat, Ph: string(r.ph), Ts: r.ts, Pid: r.pid, Tid: r.tid}
+			switch r.ph {
+			case 'X':
+				d := r.dur
+				je.Dur = &d
+				if r.argKey != "" {
+					je.Args = map[string]any{r.argKey: r.argVal}
+				}
+			case 'i':
+				je.S = "t" // thread-scoped instant
+				if r.argKey != "" {
+					je.Args = map[string]any{r.argKey: r.argVal}
+				}
+			case 'C':
+				keys := t.ctrKeys[r.ctrSet]
+				args := make(map[string]any, r.nCtr)
+				for j := range keys {
+					args[keys[j]] = *t.ctrVals.at(r.ctrOff + j)
+				}
+				je.Args = args
+			default:
+				return fmt.Errorf("telemetry: unknown event phase %q", r.ph)
 			}
-		case 'i':
-			je.S = "t" // thread-scoped instant
-			if e.ArgKey != "" {
-				je.Args = map[string]any{e.ArgKey: e.ArgVal}
+			if err := emit(je); err != nil {
+				return err
 			}
-		case 'C':
-			args := make(map[string]any, e.NCtr)
-			for j := 0; j < e.NCtr; j++ {
-				args[e.CtrKeys[j]] = e.CtrVals[j]
-			}
-			je.Args = args
-		default:
-			return fmt.Errorf("telemetry: unknown event phase %q", e.Ph)
-		}
-		if err := emit(je); err != nil {
-			return err
 		}
 	}
 	_, err := io.WriteString(w, "]}\n")

@@ -118,3 +118,44 @@ func TestCounterEventSeriesClamped(t *testing.T) {
 		t.Errorf("NCtr = %d, want %d", ev.NCtr, maxCtrSeries)
 	}
 }
+
+// TestTracerKeepsOrderAcrossChunks records past several storage chunks,
+// interleaving spans with counter events of two key sets, and checks every
+// event reads back in order with its own values.
+func TestTracerKeepsOrderAcrossChunks(t *testing.T) {
+	tr := NewTracer()
+	keysA, keysB := []string{"se0", "se1"}, []string{"x", "y", "z"}
+	n := 2*traceChunk + 7
+	for i := 0; i < n; i++ {
+		f := float64(i)
+		switch i % 3 {
+		case 0:
+			tr.SpanArg("hsa", "s", i, i+1, f, f+2, "k", f)
+		case 1:
+			tr.CounterEvent("a", i, f, keysA, []float64{f, -f})
+		default:
+			tr.CounterEvent("b", i, f, keysB, []float64{f, f + 1, f + 2})
+		}
+	}
+	keysA[0] = "mutated" // the tracer keeps its own copy of each key set
+	if tr.Len() != n {
+		t.Fatalf("Len = %d, want %d", tr.Len(), n)
+	}
+	for i, e := range tr.Events() {
+		f := float64(i)
+		var ok bool
+		switch i % 3 {
+		case 0:
+			ok = e.Ph == 'X' && e.Pid == i && e.Tid == i+1 && e.Ts == f && e.Dur == 2 && e.ArgVal == f
+		case 1:
+			ok = e.Ph == 'C' && e.Name == "a" && e.NCtr == 2 && e.CtrKeys[0] == "se0" &&
+				e.CtrVals[0] == f && e.CtrVals[1] == -f
+		default:
+			ok = e.Ph == 'C' && e.Name == "b" && e.NCtr == 3 && e.CtrKeys[2] == "z" &&
+				e.CtrVals[0] == f && e.CtrVals[2] == f+2
+		}
+		if !ok {
+			t.Fatalf("event %d read back wrong: %+v", i, e)
+		}
+	}
+}
