@@ -4,25 +4,16 @@ import (
 	"krisp/internal/gpu"
 )
 
-// Occupancy is the live Resource Monitor view a MaskCache reads:
-// *gpu.Device implements it. CountersView must return the device's live
-// per-CU kernel counters without copying, and OccupancyGen a counter that
-// changes whenever those counters change.
+// Occupancy is the Resource Monitor view a MaskCache reads: *gpu.Device
+// implements it. CountersView must return the per-CU kernel counters of the
+// current occupancy generation without allocating in steady state; the
+// slice need only stay valid until the next occupancy change, as the cache
+// reads it at once and never keeps it. OccupancyGen must return a counter
+// that changes whenever those counters change.
 type Occupancy interface {
 	CountersView() []int
 	OccupancyGen() uint64
 	BusyCUs() int
-}
-
-// idleKey identifies an idle-device allocation. When every counter is
-// zero, the mask depends only on these three request fields: the MinGrant
-// cap cannot fire (the full clamped request fits in free CUs) and the
-// progress floor cannot come up short (no CU is skipped), so MinGrant is
-// deliberately absent from the key.
-type idleKey struct {
-	numCUs  int
-	policy  Policy
-	overlap int
 }
 
 // MaskCache memoizes Algorithm 1 for the two shapes that dominate the
@@ -33,7 +24,15 @@ type idleKey struct {
 // output, so cached and uncached runs are byte-identical.
 type MaskCache struct {
 	alloc *Allocator
-	idle  map[idleKey]gpu.CUMask
+	// idle holds the idle-device allocations: one row per policy, built on
+	// the policy's first idle request, indexed by NumCUs clamped to
+	// [1, TotalCUs] as Algorithm 1 clamps it; an empty mask marks a slot
+	// not computed yet (an idle grant is never empty). When every counter
+	// is zero the mask depends on nothing else: no CU is busy, so the
+	// overlap limit is never consulted, the MinGrant cap cannot fire (the
+	// full request fits in free CUs) and the progress floor cannot come up
+	// short (no CU is skipped).
+	idle [Packed + 1][]gpu.CUMask
 
 	// Single-entry busy-state cache: valid while the device occupancy
 	// generation still matches and the request is identical.
@@ -51,7 +50,6 @@ type MaskCache struct {
 func NewMaskCache(topo gpu.Topology) *MaskCache {
 	return &MaskCache{
 		alloc: NewAllocator(topo),
-		idle:  make(map[idleKey]gpu.CUMask),
 	}
 }
 
@@ -63,14 +61,19 @@ func (c *MaskCache) Allocator() *Allocator { return c.alloc }
 // counters, serving it from cache when the occupancy state provably
 // matches a previous call.
 func (c *MaskCache) Generate(occ Occupancy, req Request) gpu.CUMask {
-	if occ.BusyCUs() == 0 {
-		k := idleKey{numCUs: req.NumCUs, policy: req.Policy, overlap: req.OverlapLimit}
-		if m, ok := c.idle[k]; ok {
+	if occ.BusyCUs() == 0 && req.Policy >= 0 && int(req.Policy) < len(c.idle) {
+		row := c.idle[req.Policy]
+		if row == nil {
+			row = make([]gpu.CUMask, c.alloc.topo.TotalCUs()+1)
+			c.idle[req.Policy] = row
+		}
+		n := min(max(req.NumCUs, 1), len(row)-1)
+		if m := row[n]; !m.IsEmpty() {
 			c.Hits++
 			return m
 		}
 		m := c.alloc.Generate(nil, req)
-		c.idle[k] = m
+		row[n] = m
 		c.Misses++
 		return m
 	}

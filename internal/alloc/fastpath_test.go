@@ -137,16 +137,18 @@ func TestMaskCacheMatchesUncached(t *testing.T) {
 	}
 }
 
-// TestIdleMaskIndependentOfMinGrant backs the idle-key design: with every
-// counter zero the MinGrant cap cannot fire and the floor cannot come up
-// short, so idle masks must not vary with MinGrant (it is deliberately
-// absent from the cache key).
+// TestIdleMaskIndependentOfMinGrant backs the idle-cache design: with
+// every counter zero no CU is busy, the MinGrant cap cannot fire and the
+// floor cannot come up short, so idle masks must vary with neither
+// MinGrant nor the overlap limit (the cache keys them on policy and
+// clamped NumCUs alone), and requests outside [1, TotalCUs] must match
+// the clamped ones.
 func TestIdleMaskIndependentOfMinGrant(t *testing.T) {
 	for _, p := range []Policy{Conserved, Distributed, Packed} {
-		for _, limit := range []int{0, 3, NoOverlapLimit} {
-			for n := 1; n <= 60; n++ {
-				base := GenerateMask(gpu.MI50, nil, Request{NumCUs: n, OverlapLimit: limit, Policy: p})
-				for _, mg := range []int{1, 15, 60} {
+		for n := -1; n <= 62; n++ {
+			base := GenerateMask(gpu.MI50, nil, Request{NumCUs: min(max(n, 1), 60), Policy: p})
+			for _, limit := range []int{0, 3, NoOverlapLimit} {
+				for _, mg := range []int{0, 1, 15, 60} {
 					got := GenerateMask(gpu.MI50, nil, Request{NumCUs: n, OverlapLimit: limit, Policy: p, MinGrant: mg})
 					if !got.Equal(base) {
 						t.Fatalf("policy %v limit %d n %d: MinGrant %d changed idle mask", p, limit, n, mg)

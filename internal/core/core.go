@@ -394,6 +394,7 @@ func (rt *Runtime) onFaultFor(seq int, d *kernels.Desc, partition, attempt int, 
 func (rt *Runtime) submitAttempt(seq int, d *kernels.Desc, partition, attempt int, rec *traceRec, onDone func()) {
 	sig := rt.cp.GetSignal(1)
 	onFault := rt.onFaultFor(seq, d, partition, attempt, rec, onDone)
+	var onDispatch func(gpu.CUMask)
 	if rt.cfg.Trace != nil {
 		var start sim.Time
 		var granted gpu.CUMask
@@ -421,31 +422,14 @@ func (rt *Runtime) submitAttempt(seq int, d *kernels.Desc, partition, attempt in
 				onDone()
 			}
 		})
-		rt.queue.Submit(hsa.Packet{
-			Type:         hsa.KernelDispatch,
-			Kernel:       *d,
-			PartitionCUs: partition,
-			OverlapLimit: rt.cfg.OverlapLimit,
-			Completion:   sig,
-			OnFault:      onFault,
-			OnDispatch: func(mask gpu.CUMask) {
-				start = rt.eng.Now()
-				granted = mask
-			},
-		})
-		return
-	}
-	if onDone != nil {
+		onDispatch = func(mask gpu.CUMask) {
+			start = rt.eng.Now()
+			granted = mask
+		}
+	} else if onDone != nil {
 		sig.OnDone(onDone)
 	}
-	rt.queue.Submit(hsa.Packet{
-		Type:         hsa.KernelDispatch,
-		Kernel:       *d,
-		PartitionCUs: partition,
-		OverlapLimit: rt.cfg.OverlapLimit,
-		Completion:   sig,
-		OnFault:      onFault,
-	})
+	rt.queue.SubmitDispatch(d, partition, rt.cfg.OverlapLimit, sig, onFault, onDispatch)
 }
 
 // launchEmulated implements Fig. 11b: barrier (callback: right-size +

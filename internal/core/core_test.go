@@ -279,3 +279,41 @@ func TestRetriedLaunchTracesOnce(t *testing.T) {
 		t.Fatalf("%d records marked as retried, want 2", retried)
 	}
 }
+
+// TestLaunchKernelZeroAlloc pins the untraced dispatch path through the
+// runtime: once warm, a LaunchKernel that runs to completion allocates
+// nothing. The native KRISP-I case keeps a long co-runner in flight, so
+// every launch misses the busy mask cache (each completion moves the
+// occupancy generation) and reads freshly built counters.
+func TestLaunchKernelZeroAlloc(t *testing.T) {
+	short := kernels.SizedCompute("short", 12, 10, 1, 5)
+	long := kernels.SizedCompute("long", 20, 10, 1, 1e7)
+	for _, mode := range []Mode{ModeNative, ModePassthrough} {
+		s := newStack(t, []kernels.Desc{short, long}, mode == ModeNative)
+		cfg := Config{Mode: mode, OverlapLimit: 0}
+		s.runtime(cfg).LaunchKernel(&long, nil)
+		rt := s.runtime(cfg)
+		done := false
+		onDone := func() { done = true }
+		cycle := func() {
+			done = false
+			rt.LaunchKernel(&short, onDone)
+			for !done {
+				s.eng.Step()
+			}
+		}
+		for i := 0; i < 8; i++ {
+			cycle()
+		}
+		misses := s.cp.MaskCache().Misses
+		if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+			t.Errorf("%v: steady-state LaunchKernel allocates %v times, want 0", mode, allocs)
+		}
+		if s.dev.Running() != 1 {
+			t.Fatalf("%v: %d kernels running, want the long co-runner", mode, s.dev.Running())
+		}
+		if mode == ModeNative && s.cp.MaskCache().Misses < misses+200 {
+			t.Fatalf("native: %d busy mask-cache misses over 201 launches, want one per launch", s.cp.MaskCache().Misses-misses)
+		}
+	}
+}

@@ -131,8 +131,9 @@ type Exec struct {
 	// steady-state launches allocate nothing.
 	completeFn func()
 	// waveRow is this Exec's row in the device's wave-cost slab: NumSEs
-	// static per-SE wave costs, set at launch (see setWaveCosts). The row
-	// is claimed once per Exec object and kept across recycles.
+	// static per-SE costs and mask slices, set at launch (see
+	// setWaveCosts). The row is claimed once per Exec object and kept
+	// across recycles.
 	waveRow int
 	// compute caches the contended compute time (worst SE's wave cost x
 	// WGTime); computeOK is cleared whenever an input to it may have
@@ -154,9 +155,20 @@ type Device struct {
 	// order, perturbed by swap-removal on completion). retime walks it on
 	// every launch and completion, so it must iterate like an array, not a
 	// map — and slice order is deterministic, where map order is not.
-	running  []*Exec
-	counters []int // per-CU count of kernels whose mask includes the CU (Resource Monitor)
-	busy     int   // CUs with at least one kernel assigned, maintained incrementally
+	running []*Exec
+	// planes are the per-CU kernel counters of the Resource Monitor,
+	// bit-sliced: bit cu of planes[j] is bit j of the number of running
+	// kernels whose mask includes CU cu. A launch adds its mask with a
+	// word-level ripple carry and a completion subtracts it with a ripple
+	// borrow, so the counters cost a few word ops per footprint change
+	// instead of a walk over the mask's CUs. occupied is the planes' OR:
+	// the CUs with at least one kernel assigned.
+	planes   []CUMask
+	occupied CUMask
+	// counters is the []int view of the planes that Algorithm 1 reads,
+	// built on demand and valid while countersGen == gen.
+	counters    []int
+	countersGen uint64
 	// healthy tracks the CUs still alive; allHealthy short-circuits the
 	// per-launch health intersection while no CU has been killed, so the
 	// fault-free path stays bit-identical to a device without the health
@@ -178,16 +190,17 @@ type Device struct {
 	memPressure float64
 	meter       Meter
 	nextID      uint64
-	// gen is the occupancy generation: it advances whenever the per-CU
-	// kernel counters change, so mask caches keyed on it can prove an
-	// occupancy state unchanged without comparing counter arrays.
+	// gen is the occupancy generation: it advances on every footprint
+	// change (chargeExec, releaseExec) and on Reset, so mask caches keyed
+	// on it can prove an occupancy state unchanged without comparing
+	// counter arrays.
 	gen uint64
 	// execFree recycles completed Exec objects so steady-state launches
 	// allocate nothing.
 	execFree []*Exec
-	// waveSlab backs every Exec's static per-SE wave costs, NumSEs entries
-	// per Exec (Exec.waveRow); 0 marks an SE running none of its workgroups.
-	waveSlab []float64
+	// waveSlab backs every Exec's static per-SE costs, NumSEs entries per
+	// Exec (Exec.waveRow).
+	waveSlab []seCost
 	// seMemo holds each SE's last co-runner pressure sum, keyed by
 	// (gen, seBits), so co-runners sharing an SE slice sum it once per
 	// occupancy state.
@@ -350,58 +363,99 @@ func (d *Device) SetCUDegrade(cu int, stretch float64) {
 // KernelCount returns the number of kernels currently assigned to CU cu —
 // the per-CU kernel counter KRISP's Resource Monitor exposes to the
 // allocator (Algorithm 1's CU_Kernel_Counters).
-func (d *Device) KernelCount(cu int) int { return d.counters[cu] }
+func (d *Device) KernelCount(cu int) int { return d.CountersView()[cu] }
 
 // Counters returns a copy of all per-CU kernel counters.
 func (d *Device) Counters() []int {
-	out := make([]int, len(d.counters))
-	copy(out, d.counters)
+	view := d.CountersView()
+	out := make([]int, len(view))
+	copy(out, view)
 	return out
 }
 
-// CountersView returns the live per-CU kernel counters without copying —
-// the zero-allocation Resource Monitor read the dispatch fast path uses.
-// The slice is owned by the device: callers must not mutate it or hold it
-// across simulation events (use OccupancyGen to detect staleness).
-func (d *Device) CountersView() []int { return d.counters }
+// CountersView returns the per-CU kernel counters without copying — the
+// zero-allocation Resource Monitor read the dispatch fast path uses. The
+// slice is owned by the device and is rebuilt from the bit-sliced counters
+// at most once per occupancy generation: callers must not mutate it, and
+// it holds the counters of the generation it was read at only until the
+// next occupancy change (use OccupancyGen to detect staleness).
+func (d *Device) CountersView() []int {
+	if d.countersGen != d.gen {
+		clear(d.counters)
+		for j, p := range d.planes {
+			for w := p.lo; w != 0; w &= w - 1 {
+				d.counters[bits.TrailingZeros64(w)] += 1 << j
+			}
+			for w := p.hi; w != 0; w &= w - 1 {
+				d.counters[64+bits.TrailingZeros64(w)] += 1 << j
+			}
+		}
+		d.countersGen = d.gen
+	}
+	return d.counters
+}
 
-// OccupancyGen returns the occupancy generation counter; it changes
-// whenever any per-CU kernel counter changes.
+// OccupancyGen returns the occupancy generation counter; it changes on
+// every launch, completion and re-mask footprint change, so it changes
+// whenever any per-CU kernel counter does.
 func (d *Device) OccupancyGen() uint64 { return d.gen }
 
 // Running returns the number of kernels currently executing.
 func (d *Device) Running() int { return len(d.running) }
 
 // BusyCUs returns the number of CUs with at least one kernel assigned.
-func (d *Device) BusyCUs() int { return d.busy }
+func (d *Device) BusyCUs() int { return d.occupied.Count() }
 
-// chargeExec adds one execution's footprint — kernel counter and compute
-// pressure — to every CU enabled in m, iterating set bits directly so the
-// per-launch bookkeeping allocates nothing.
+// kernelPlanes is how many counter planes a device starts with: enough to
+// count 15 kernels on one CU. A deeper stack grows the planes on demand.
+const kernelPlanes = 4
+
+// chargeExec adds one execution's footprint to the CUs enabled in m: one
+// to each CU's kernel counter and pressure to its compute pressure.
 func (d *Device) chargeExec(m CUMask, pressure float64) {
 	d.gen++
 	d.invalidateOverlapping(m)
+	// Ripple-carry m into the counter planes.
+	carry := m
+	for j := 0; !carry.IsEmpty(); j++ {
+		if j == len(d.planes) {
+			d.planes = append(d.planes, carry)
+			break
+		}
+		p := d.planes[j]
+		d.planes[j] = p.xor(carry)
+		carry = p.And(carry)
+	}
+	d.occupied = d.occupied.Or(m)
 	for w := m.lo; w != 0; w &= w - 1 {
-		d.chargeCU(bits.TrailingZeros64(w), pressure)
+		d.pressure[bits.TrailingZeros64(w)] += pressure
 	}
 	for w := m.hi; w != 0; w &= w - 1 {
-		d.chargeCU(64+bits.TrailingZeros64(w), pressure)
+		d.pressure[64+bits.TrailingZeros64(w)] += pressure
 	}
 	d.publishOccupancy()
-}
-
-func (d *Device) chargeCU(cu int, pressure float64) {
-	if d.counters[cu] == 0 {
-		d.busy++
-	}
-	d.counters[cu]++
-	d.pressure[cu] += pressure
 }
 
 // releaseExec undoes chargeExec for a finished or re-masked execution.
 func (d *Device) releaseExec(m CUMask, pressure float64) {
 	d.gen++
 	d.invalidateOverlapping(m)
+	// Ripple-borrow m out of the counter planes; a borrow out of the top
+	// plane means some CU in m had no kernel to release.
+	borrow := m
+	for j := 0; !borrow.IsEmpty(); j++ {
+		if j == len(d.planes) {
+			panic("gpu: per-CU kernel counter went negative")
+		}
+		p := d.planes[j]
+		d.planes[j] = p.xor(borrow)
+		borrow = borrow.AndNot(p)
+	}
+	var occ CUMask
+	for _, p := range d.planes {
+		occ = occ.Or(p)
+	}
+	d.occupied = occ
 	for w := m.lo; w != 0; w &= w - 1 {
 		d.releaseCU(bits.TrailingZeros64(w), pressure)
 	}
@@ -421,14 +475,9 @@ func (d *Device) invalidateOverlapping(m CUMask) {
 	}
 }
 
+// releaseCU removes pressure from CU cu, clamping the float drift of an
+// add-then-subtract at zero.
 func (d *Device) releaseCU(cu int, pressure float64) {
-	d.counters[cu]--
-	if d.counters[cu] < 0 {
-		panic("gpu: per-CU kernel counter went negative")
-	}
-	if d.counters[cu] == 0 {
-		d.busy--
-	}
 	d.pressure[cu] -= pressure
 	if d.pressure[cu] < 0 {
 		d.pressure[cu] = 0
@@ -469,12 +518,10 @@ func (d *Device) Reset() {
 		d.execFree = append(d.execFree, x)
 	}
 	d.running = d.running[:0]
-	for i := range d.counters {
-		d.counters[i] = 0
-		d.pressure[i] = 0
-		d.degrade[i] = 0
-	}
-	d.busy = 0
+	clear(d.planes)
+	d.occupied = CUMask{}
+	clear(d.pressure)
+	clear(d.degrade)
 	d.numDegraded = 0
 	d.memPressure = 0
 	d.healthy = FullMask(d.Spec.Topo)
@@ -549,18 +596,19 @@ func (d *Device) Launch(work KernelWork, mask CUMask, onDone func()) *Exec {
 // Execs as a device usually runs at once, so the slab rarely grows.
 const slabExecs = 4
 
-// newExec allocates an Exec and claims its wave-cost row. The slab and the
-// pressure memo are allocated with a device's first Exec, so devices that
-// never launch (the profiler's) allocate neither.
+// newExec allocates an Exec and claims its wave-cost row. The slab, the
+// pressure memo and the counter planes are allocated with a device's first
+// Exec, so devices that never launch (the profiler's) allocate none of them.
 func (d *Device) newExec() *Exec {
 	nSE := d.Spec.Topo.NumSEs
 	if d.waveSlab == nil {
-		d.waveSlab = make([]float64, 0, slabExecs*nSE)
+		d.waveSlab = make([]seCost, 0, slabExecs*nSE)
 		d.seMemo = make([]pressureMemo, nSE)
+		d.planes = make([]CUMask, kernelPlanes)
 	}
 	x := &Exec{waveRow: len(d.waveSlab)}
 	x.completeFn = func() { d.complete(x) }
-	d.waveSlab = append(d.waveSlab, make([]float64, nSE)...)
+	d.waveSlab = append(d.waveSlab, make([]seCost, nSE)...)
 	return x
 }
 
@@ -655,19 +703,34 @@ func (d *Device) retime() {
 	}
 }
 
+// seCost is one SE's entry in an Exec's wave-cost row: the SE's slice of
+// the exec's mask, its popcount, and the static wave cost of the SE's
+// share of the workgroups (0 when the SE runs none of them).
+type seCost struct {
+	wave float64
+	bits uint64
+	cus  int
+}
+
 // setWaveCosts fills x's wave-cost row with the static half of the model:
-// each used SE's half-wave quantized wave cost for its share of the
-// workgroups, which depends only on (work, mask, spec).
+// each used SE's mask slice and half-wave quantized wave cost for its
+// share of the workgroups, which depend only on (work, mask, spec).
 func (d *Device) setWaveCosts(x *Exec) {
 	topo := d.Spec.Topo
 	row := d.waveSlab[x.waveRow : x.waveRow+topo.NumSEs]
-	nSE := usedSEs(x.mask, topo)
+	nSE := 0
+	for se := range row {
+		sb := x.mask.seBits(topo, se)
+		row[se] = seCost{bits: sb, cus: bits.OnesCount64(sb)}
+		if sb != 0 {
+			nSE++
+		}
+	}
 	baseWG, extraWG := x.work.Workgroups/nSE, x.work.Workgroups%nSE
 	i := 0
 	for se := range row {
-		row[se] = 0
-		sb := x.mask.seBits(topo, se)
-		if sb == 0 {
+		c := &row[se]
+		if c.bits == 0 {
 			continue
 		}
 		wgSE := baseWG
@@ -676,7 +739,7 @@ func (d *Device) setWaveCosts(x *Exec) {
 		}
 		i++
 		if wgSE > 0 {
-			row[se] = waveCost(halfWaves(wgSE, bits.OnesCount64(sb), d.Spec.SlotsPerCU), x.work.WaveExponent)
+			c.wave = waveCost(halfWaves(wgSE, c.cus, d.Spec.SlotsPerCU), x.work.WaveExponent)
 		}
 	}
 	x.computeOK = false
@@ -686,18 +749,16 @@ func (d *Device) setWaveCosts(x *Exec) {
 // running execution: its static wave costs stretched by CU degradation and
 // co-runner pressure, worst SE times WGTime.
 func (d *Device) contendedCompute(x *Exec) sim.Duration {
-	topo := d.Spec.Topo
 	var worst float64
-	for se, wc := range d.waveSlab[x.waveRow : x.waveRow+topo.NumSEs] {
+	for se, c := range d.waveSlab[x.waveRow : x.waveRow+d.Spec.Topo.NumSEs] {
+		wc := c.wave
 		if wc == 0 {
 			continue
 		}
-		sb := x.mask.seBits(topo, se)
-		a := bits.OnesCount64(sb)
 		if d.numDegraded > 0 {
-			wc = d.degradeStretch(se, sb, a, wc)
+			wc = d.degradeStretch(se, c.bits, c.cus, wc)
 		}
-		wc *= d.contentionStretch(d.memoPressure(se, sb), a, x.pressure)
+		wc *= d.contentionStretch(d.memoPressure(se, c.bits), c.cus, x.pressure)
 		if wc > worst {
 			worst = wc
 		}

@@ -297,30 +297,49 @@ func TestDeviceCounterConservationProperty(t *testing.T) {
 }
 
 // TestOccupancyGenTracksCounters pins the mask-cache invalidation
-// contract: the occupancy generation advances whenever the per-CU kernel
-// counters change (launch and completion), never between, and
-// CountersView aliases the live counters.
+// contract: the occupancy generation advances on every launch and
+// completion, never between, and CountersView returns the counters of the
+// generation it is read at. The view is built from the bit-sliced counters
+// once per generation and stays valid until the next occupancy change, so
+// reads within one generation return the same storage unchanged, and a
+// read after a change sees the new counters.
 func TestOccupancyGenTracksCounters(t *testing.T) {
 	eng := sim.New()
 	d := NewDevice(eng, MI50Spec(), nil)
-	view := d.CountersView()
 	g0 := d.OccupancyGen()
 	d.Launch(KernelWork{Workgroups: 60, ThreadsPerWG: 256, WGTime: 10, Tail: 0.5}, RangeMask(MI50, 0, 15), nil)
 	g1 := d.OccupancyGen()
 	if g1 == g0 {
 		t.Fatal("launch did not advance the occupancy generation")
 	}
-	if view[0] != 1 || view[15] != 0 {
-		t.Fatalf("CountersView not live: view[0]=%d view[15]=%d", view[0], view[15])
+	view := d.CountersView()
+	if view[0] != 1 || view[14] != 1 || view[15] != 0 {
+		t.Fatalf("CountersView after launch: view[0]=%d view[14]=%d view[15]=%d, want 1 1 0", view[0], view[14], view[15])
+	}
+	if again := d.CountersView(); &again[0] != &view[0] || again[0] != 1 {
+		t.Fatal("a second read in the same generation did not return the same view")
 	}
 	if got := d.OccupancyGen(); got != g1 {
 		t.Fatalf("generation moved without a counter change: %d -> %d", g1, got)
 	}
+	d.Launch(KernelWork{Workgroups: 60, ThreadsPerWG: 256, WGTime: 10, Tail: 0.5}, RangeMask(MI50, 10, 10), nil)
+	g2 := d.OccupancyGen()
+	if g2 == g1 {
+		t.Fatal("second launch did not advance the occupancy generation")
+	}
+	view = d.CountersView()
+	if view[0] != 1 || view[10] != 2 || view[19] != 1 || view[20] != 0 {
+		t.Fatalf("CountersView after second launch: %v", view[:21])
+	}
+	if d.KernelCount(10) != 2 || d.BusyCUs() != 20 {
+		t.Fatalf("KernelCount(10)=%d BusyCUs=%d, want 2 and 20", d.KernelCount(10), d.BusyCUs())
+	}
 	eng.Run()
-	if d.OccupancyGen() == g1 {
+	if d.OccupancyGen() == g2 {
 		t.Fatal("completion did not advance the occupancy generation")
 	}
-	if d.BusyCUs() != 0 || view[0] != 0 {
-		t.Fatalf("device not idle after drain: busy=%d view[0]=%d", d.BusyCUs(), view[0])
+	view = d.CountersView()
+	if d.BusyCUs() != 0 || view[0] != 0 || view[10] != 0 {
+		t.Fatalf("device not idle after drain: busy=%d view[0]=%d view[10]=%d", d.BusyCUs(), view[0], view[10])
 	}
 }

@@ -62,6 +62,10 @@ func (m CUMask) Or(o CUMask) CUMask { return CUMask{m.lo | o.lo, m.hi | o.hi} }
 // AndNot returns the CUs in m that are not in o.
 func (m CUMask) AndNot(o CUMask) CUMask { return CUMask{m.lo &^ o.lo, m.hi &^ o.hi} }
 
+// xor returns the CUs enabled in exactly one of the masks: the sum bit of
+// the device's bit-sliced kernel counters.
+func (m CUMask) xor(o CUMask) CUMask { return CUMask{m.lo ^ o.lo, m.hi ^ o.hi} }
+
 // Equal reports whether two masks enable the same CUs.
 func (m CUMask) Equal(o CUMask) bool { return m.lo == o.lo && m.hi == o.hi }
 

@@ -34,10 +34,39 @@ func (r *opReader) u64() uint64 {
 	return v
 }
 
+// checkOccupancy compares the device's bit-sliced kernel counters —
+// through CountersView, KernelCount and BusyCUs — with a per-CU recount of
+// the running executions' masks.
+func checkOccupancy(t testing.TB, d *Device, step int) {
+	t.Helper()
+	want := make([]int, d.Spec.Topo.TotalCUs())
+	for _, x := range d.running {
+		for _, cu := range x.mask.CUs() {
+			want[cu]++
+		}
+	}
+	view := d.CountersView()
+	busy := 0
+	for cu, n := range want {
+		if view[cu] != n || d.KernelCount(cu) != n {
+			t.Fatalf("step %d: CU %d counter view %d, KernelCount %d, recount %d", step, cu, view[cu], d.KernelCount(cu), n)
+		}
+		if n > 0 {
+			busy++
+		}
+	}
+	if d.BusyCUs() != busy {
+		t.Fatalf("step %d: BusyCUs %d, recount %d", step, d.BusyCUs(), busy)
+	}
+}
+
 // driveRetime replays ops — launches, completions, CU kills and degrade
 // changes — on a fresh device and, after every operation, checks each
 // running execution's incrementally maintained duration and pending
-// finish time against a from-scratch duration, bit for bit.
+// finish time against a from-scratch duration, bit for bit, and the
+// kernel counters against a recount. The occupancy generation must move
+// exactly when a footprint changes: on a launch, a completion, or a kill
+// that re-masks a running execution.
 func driveRetime(t testing.TB, spec DeviceSpec, ops []byte) {
 	eng := sim.New()
 	d := NewDevice(eng, spec, nil)
@@ -47,6 +76,8 @@ func driveRetime(t testing.TB, spec DeviceSpec, ops []byte) {
 	stretches := [...]float64{0, 0.5, 1, 3}
 	r := &opReader{data: ops}
 	for step := 0; r.pos < len(r.data); step++ {
+		gen, running := d.OccupancyGen(), d.Running()
+		footprint := false
 		switch op := r.byte() % 8; {
 		case op < 4 && d.Running() < 12:
 			mask := CUMask{lo: r.u64(), hi: r.u64()}.And(full)
@@ -64,13 +95,23 @@ func driveRetime(t testing.TB, spec DeviceSpec, ops []byte) {
 				work.MemBytes = float64(r.u16()) * 1e3
 			}
 			d.Launch(work, mask, nil)
+			footprint = true
 		case op < 6:
 			eng.Step()
+			footprint = d.Running() < running
 		case op == 6:
-			d.KillCU(int(r.byte()) % total)
+			cu := int(r.byte()) % total
+			for _, x := range d.running {
+				footprint = footprint || x.mask.Has(cu)
+			}
+			footprint = d.KillCU(cu) && footprint
 		default:
 			d.SetCUDegrade(int(r.byte())%total, stretches[r.byte()%4])
 		}
+		if moved := d.OccupancyGen() != gen; moved != footprint {
+			t.Fatalf("step %d: occupancy generation moved=%v on a footprint change=%v", step, moved, footprint)
+		}
+		checkOccupancy(t, d, step)
 		now := eng.Now()
 		for _, x := range d.running {
 			want := d.duration(x.work, x.mask, x.pressure, x.memIntensity)
@@ -92,6 +133,36 @@ func TestRetimeMatchesFullRecompute(t *testing.T) {
 			ops := make([]byte, 400)
 			rng.Read(ops)
 			driveRetime(t, spec, ops)
+		}
+	}
+}
+
+// TestCounterPlanesGrow stacks more kernels on one CU than the initial
+// counter planes can count, on both devices (MI100's top CU lives in the
+// hi mask word), so the planes must grow; counters must match a recount
+// through the climb, a kill and the drain.
+func TestCounterPlanesGrow(t *testing.T) {
+	for _, spec := range []DeviceSpec{MI50Spec(), MI100Spec()} {
+		eng := sim.New()
+		d := NewDevice(eng, spec, nil)
+		total := spec.Topo.TotalCUs()
+		stack := 1<<kernelPlanes + 5
+		for i := 0; i < stack; i++ {
+			mask := CUMask{}.Set(0).Set(total - 1).Set(i % total)
+			d.Launch(KernelWork{Workgroups: 100 + i, ThreadsPerWG: 256, WGTime: 10, Tail: 0.5}, mask, nil)
+			checkOccupancy(t, d, i)
+		}
+		if len(d.planes) <= kernelPlanes || d.KernelCount(0) != stack || d.KernelCount(total-1) != stack {
+			t.Fatalf("%v: %d planes, counts %d and %d after stacking %d kernels", spec.Topo, len(d.planes), d.KernelCount(0), d.KernelCount(total-1), stack)
+		}
+		d.KillCU(total - 1)
+		checkOccupancy(t, d, stack)
+		for step := stack + 1; d.Running() > 0; step++ {
+			eng.Step()
+			checkOccupancy(t, d, step)
+		}
+		if d.BusyCUs() != 0 {
+			t.Fatalf("%v: %d busy CUs after drain", spec.Topo, d.BusyCUs())
 		}
 	}
 }

@@ -625,10 +625,36 @@ func (q *Queue) ResetStall() bool {
 	return true
 }
 
-// Submit enqueues a packet and rings the doorbell.
+// Submit enqueues a packet and rings the doorbell. Kernel dispatches go
+// through SubmitDispatch, which builds no Packet value.
 func (q *Queue) Submit(p Packet) {
 	slot := q.push()
 	*slot = p
+	q.doorbell(slot)
+}
+
+// SubmitDispatch enqueues a kernel dispatch packet, writing its fields
+// straight into the ring slot so the descriptor is copied once.
+// partitionCUs and overlapLimit fill KRISP's extended AQL fields (see
+// Packet.PartitionCUs); completion, onFault and onDispatch become the
+// packet's Completion, OnFault and OnDispatch.
+func (q *Queue) SubmitDispatch(d *kernels.Desc, partitionCUs, overlapLimit int, completion *Signal, onFault func(), onDispatch func(gpu.CUMask)) {
+	// A free slot holds no barrier references (see retire), so only the
+	// dispatch fields need writing.
+	slot := q.push()
+	slot.Type = KernelDispatch
+	slot.Kernel = *d
+	slot.PartitionCUs = partitionCUs
+	slot.OverlapLimit = overlapLimit
+	slot.Completion = completion
+	slot.OnDispatch = onDispatch
+	slot.OnFault = onFault
+	q.doorbell(slot)
+}
+
+// doorbell stamps a just-filled slot with its enqueue time and wakes the
+// packet processor.
+func (q *Queue) doorbell(slot *Packet) {
 	slot.enqueuedAt = q.cp.eng.Now()
 	if t := q.cp.tel; t != nil {
 		t.QueueDepth.Add(1)
@@ -685,7 +711,8 @@ func (q *Queue) curPacket() *Packet { return &q.ring[q.cur] }
 
 // retire releases the in-flight packet's slot, clearing only the fields
 // that hold references (the next push overwrites the rest), so a drained
-// ring pins no callbacks, signals or kernel names.
+// ring pins no callbacks, signals or kernel names, and every free slot —
+// retired, reset, or fresh from grow — has nil reference fields.
 func (q *Queue) retire() {
 	p := &q.ring[q.cur]
 	p.Kernel.Name = ""
@@ -700,27 +727,21 @@ func (q *Queue) retire() {
 // SubmitKernel is a convenience wrapper: enqueue a kernel dispatch whose
 // completion invokes onDone.
 func (q *Queue) SubmitKernel(d kernels.Desc, onDone func()) {
-	q.submitKernel(d, 0, 0, onDone)
+	q.submitKernel(&d, 0, 0, onDone)
 }
 
 // SubmitKernelScoped enqueues a kernel dispatch carrying KRISP's partition
 // size and overlap limit in the extended AQL fields.
 func (q *Queue) SubmitKernelScoped(d kernels.Desc, partitionCUs, overlapLimit int, onDone func()) {
-	q.submitKernel(d, partitionCUs, overlapLimit, onDone)
+	q.submitKernel(&d, partitionCUs, overlapLimit, onDone)
 }
 
-func (q *Queue) submitKernel(d kernels.Desc, cus, limit int, onDone func()) {
+func (q *Queue) submitKernel(d *kernels.Desc, cus, limit int, onDone func()) {
 	sig := q.cp.GetSignal(1)
 	if onDone != nil {
 		sig.OnDone(onDone)
 	}
-	q.Submit(Packet{
-		Type:         KernelDispatch,
-		Kernel:       d,
-		PartitionCUs: cus,
-		OverlapLimit: limit,
-		Completion:   sig,
-	})
+	q.SubmitDispatch(d, cus, limit, sig, nil, nil)
 }
 
 // SubmitBarrier enqueues a barrier-AND packet. callback runs when the

@@ -211,23 +211,17 @@ func (r *runner) launchKernel(i int) {
 		r.batchDone()
 		return
 	}
-	d := r.descs[i]
 	partition := 0
 	if r.scheme == KernelScoped {
 		partition = r.curSize
 	}
-	r.q.Submit(hsa.Packet{
-		Type:         hsa.KernelDispatch,
-		Kernel:       d,
-		PartitionCUs: partition,
-		OverlapLimit: alloc.NoOverlapLimit,
-		OnDispatch: func(mask gpu.CUMask) {
+	r.q.SubmitDispatch(&r.descs[i], partition, alloc.NoOverlapLimit,
+		completion(func() { r.launchKernel(i + 1) }), nil,
+		func(mask gpu.CUMask) {
 			if r.res.EffectAt < 0 && r.requested && mask.Equal(r.newMask) {
 				r.res.EffectAt = r.eng.Now()
 			}
-		},
-		Completion: completion(func() { r.launchKernel(i + 1) }),
-	})
+		})
 }
 
 func (r *runner) batchDone() {
