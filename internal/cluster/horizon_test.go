@@ -22,6 +22,25 @@ func runFleet(cfg Config, lockstep bool, workers int) *Result {
 	return f.Run()
 }
 
+// requireConserved fails unless every arrival was routed or rejected, no
+// more requests finished than were routed, and every completion left one
+// latency sample.
+func requireConserved(t *testing.T, label string, res *Result) {
+	t.Helper()
+	if got := res.Routed + res.Rejected; got != res.Arrivals {
+		t.Fatalf("%s: routed(%d)+rejected(%d) = %d, want arrivals %d",
+			label, res.Routed, res.Rejected, got, res.Arrivals)
+	}
+	if got := res.Completed + res.Failed; got > res.Routed {
+		t.Fatalf("%s: completed(%d)+failed(%d) = %d exceeds routed %d",
+			label, res.Completed, res.Failed, got, res.Routed)
+	}
+	if res.Latency.Len() != res.Completed {
+		t.Fatalf("%s: %d latency samples for %d completions",
+			label, res.Latency.Len(), res.Completed)
+	}
+}
+
 // requireIdentical fails unless got matches want byte for byte: routing
 // log and full Result, energy included.
 func requireIdentical(t *testing.T, label string, want, got *Result) {
@@ -37,8 +56,10 @@ func requireIdentical(t *testing.T, label string, want, got *Result) {
 // oracleScenarios are the configurations the scheduler matrix replays on
 // both schedulers and every worker count: a faulty bare-router fleet, the
 // gateway chaos composition with hedges, retries, breakers and node loss,
-// and a calm fleet where most ticks find most nodes idle (the case the
-// event-horizon scheduler actually skips work on).
+// a calm fleet where most ticks find most nodes idle (the case the
+// event-horizon scheduler actually skips work on), and the shared and
+// disaggregated LLM fleets, whose token loops and KV handoffs cross tick
+// boundaries.
 func oracleScenarios(t *testing.T) map[string]func() Config {
 	t.Helper()
 	return map[string]func() Config{
@@ -60,22 +81,25 @@ func oracleScenarios(t *testing.T) map[string]func() Config {
 			return cfg
 		},
 		"sparse": func() Config {
-			// Light load on a wide fleet: whole ticks pass with idle nodes,
-			// so skipped router phases and lagging clocks (including the
-			// final energy fast-forward) are all on the hot path.
+			// Light load on a wide fleet: most ticks advance only some of
+			// the nodes, so idle nodes and lagging node clocks (including
+			// the final energy fast-forward) are on the hot path.
 			cfg := baseConfig(t)
 			cfg.Nodes = 6
 			cfg.Workloads = cfg.Workloads[:1]
 			return cfg
 		},
+		"llm-mixed":  func() Config { return llmBaseConfig() },
+		"llm-disagg": func() Config { return llmDisaggConfig() },
 	}
 }
 
 // TestEventHorizonLockstepMatrixIdentical is the scheduler's correctness
 // oracle: for every scenario, the event-horizon scheduler at every worker
 // count must be byte-identical — routing log and full result, energy
-// included — to the serial lockstep fleet. Run under -race this also
-// proves advancement rounds share nothing across workers.
+// included — to the serial lockstep fleet, and the oracle's result must
+// conserve requests. Run under -race this also proves advancement rounds
+// share nothing across workers.
 func TestEventHorizonLockstepMatrixIdentical(t *testing.T) {
 	for name, mk := range oracleScenarios(t) {
 		t.Run(name, func(t *testing.T) {
@@ -86,6 +110,7 @@ func TestEventHorizonLockstepMatrixIdentical(t *testing.T) {
 			if oracle.Completed == 0 {
 				t.Fatal("degenerate scenario: nothing completed")
 			}
+			requireConserved(t, "lockstep", oracle)
 			for _, workers := range []int{1, 0, 2, 8} {
 				requireIdentical(t, fmt.Sprintf("event-horizon workers=%d", workers),
 					oracle, runFleet(mk(), false, workers))
