@@ -72,7 +72,7 @@ func (a *autoscaler) maybeReplan(f *Fleet, now sim.Time) {
 	targets, unplaced := a.placer.place(demands, llmInsts, slots)
 	f.res.Unplaced += unplaced
 
-	acts := diff(f.liveHandles(), targets)
+	acts := diff(f.handles, targets)
 	proc, kern := reconfigBill(acts, f.cfg.Costs)
 	f.res.ProcessScopedReload += proc
 	f.res.KernelScopedReload += kern

@@ -261,11 +261,8 @@ type Fleet struct {
 	activeBuf []*fleetNode
 	mergeIdx  []int // k-way arrival-merge cursors, reused across ticks
 
-	// hz and dirty belong to the event-horizon scheduler: the wake heap
-	// over up nodes, and whether any node advanced since the last
-	// completion pull (the condition that forces a full router phase).
-	hz    *wakeHeap
-	dirty bool
+	// hz is the event-horizon scheduler's wake heap over up nodes.
+	hz *wakeHeap
 
 	// lockstep swaps the event-horizon scheduler for the reference one:
 	// every up node advances to each tick barrier, and sends schedule
@@ -508,20 +505,7 @@ func (f *Fleet) Run() *Result {
 	for tick := 0; tick < ticks; tick++ {
 		now := sim.Time(tick) * f.cfg.Tick
 		f.now = now
-		if !f.lockstep && f.canSkipPhases(now) {
-			// The whole router phase is provably a no-op; only the tick's
-			// arrival draws (mandatory for RNG parity) and any due node
-			// advancement remain. Arrivals, if any, route through the same
-			// merge as the full phase — the queues are empty, so skipping
-			// drainQueue changes nothing.
-			if f.genArrivals(now, now+f.cfg.Tick) {
-				f.mergeRoute(now)
-			}
-			f.advance(now + f.cfg.Tick)
-			continue
-		}
 		f.pullCompletions(now)
-		f.dirty = false
 		f.applyFaults(now)
 		if f.gw != nil {
 			f.gw.BeginTick(now)
@@ -567,9 +551,6 @@ func (f *Fleet) FlightRecorder() *telemetry.FlightRecorder {
 // SLOStatuses snapshots the per-model burn-rate monitors (empty without
 // Obs.Monitors). Valid after Run.
 func (f *Fleet) SLOStatuses() []telemetry.SLOStatus { return f.obs.statuses() }
-
-// liveHandles returns the handles the placer should diff against.
-func (f *Fleet) liveHandles() []*replicaHandle { return f.handles }
 
 // spawnReplica places one gpulet on its node.
 func (f *Fleet) spawnReplica(t target, readyAt sim.Time) {
@@ -806,17 +787,11 @@ func (f *Fleet) routeTick(from, to sim.Time) {
 }
 
 // genArrivals draws every workload's arrivals for one tick window into the
-// reusable per-model buffers, reporting whether any arrived. The draws
-// must happen exactly once per tick window on every scheduler path — the
-// generators restart their gap sampling from the window start — so this is
-// the one phase an idle tick can never skip.
-func (f *Fleet) genArrivals(from, to sim.Time) bool {
-	any := false
+// reusable per-model buffers. The draws must happen exactly once per tick
+// window: the generators restart their gap sampling from the window start.
+func (f *Fleet) genArrivals(from, to sim.Time) {
 	for i, w := range f.cfg.Workloads {
 		f.arrivalBufs[i] = workload.TenantArrivals(w.Gen, f.arrivalRngs[i], f.cfg.Tenants, from, to, f.arrivalBufs[i][:0])
-		if len(f.arrivalBufs[i]) > 0 {
-			any = true
-		}
 		// LLM workloads draw their sequence lengths from the same per-model
 		// rng, after the window's arrival draws — one Draw per arrival, so
 		// classic models consume exactly the PR9 stream.
@@ -828,7 +803,6 @@ func (f *Fleet) genArrivals(from, to sim.Time) bool {
 			}
 		}
 	}
-	return any
 }
 
 // mergeRoute merges the generated arrival buffers by (time, model index)
@@ -844,17 +818,7 @@ func (f *Fleet) mergeRoute(from sim.Time) {
 	}
 	if f.gw == nil {
 		for {
-			best := -1
-			var bestT sim.Time
-			for i := range f.arrivalBufs {
-				if idx[i] >= len(f.arrivalBufs[i]) {
-					continue
-				}
-				t := f.arrivalBufs[i][idx[i]].At
-				if best < 0 || t < bestT {
-					best, bestT = i, t
-				}
-			}
+			best := f.nextArrival(idx)
 			if best < 0 {
 				return
 			}
@@ -864,25 +828,16 @@ func (f *Fleet) mergeRoute(from sim.Time) {
 				l := f.lenBufs[best][idx[best]]
 				prompt, output = l.prompt, l.output
 			}
+			at := f.arrivalBufs[best][idx[best]].At
 			idx[best]++
 			f.res.Arrivals++
-			f.router.route(m, bestT, from, 0, prompt, output)
+			f.router.route(m, at, from, 0, prompt, output)
 		}
 	}
 
 	f.admitBuf = f.admitBuf[:0]
 	for {
-		best := -1
-		var bestT sim.Time
-		for i := range f.arrivalBufs {
-			if idx[i] >= len(f.arrivalBufs[i]) {
-				continue
-			}
-			t := f.arrivalBufs[i][idx[i]].At
-			if best < 0 || t < bestT {
-				best, bestT = i, t
-			}
-		}
+		best := f.nextArrival(idx)
 		if best < 0 {
 			break
 		}
@@ -939,6 +894,23 @@ func (f *Fleet) mergeRoute(from sim.Time) {
 			f.router.route(f.router.models[a.model], a.at, from, a.tenant, 0, 0)
 		}
 	}
+}
+
+// nextArrival returns the model whose buffered arrival at its merge cursor
+// is earliest, the lower model index on ties, or -1 when every buffer is
+// exhausted.
+func (f *Fleet) nextArrival(idx []int) int {
+	best := -1
+	var bestT sim.Time
+	for i, buf := range f.arrivalBufs {
+		if idx[i] >= len(buf) {
+			continue
+		}
+		if t := buf[idx[i]].At; best < 0 || t < bestT {
+			best, bestT = i, t
+		}
+	}
+	return best
 }
 
 // observe samples fleet gauges once per tick and advances the SLO
@@ -998,9 +970,7 @@ func (f *Fleet) observe() {
 // its engine, devices, and RNGs — so either fan-out is deterministic.
 func (f *Fleet) advance(t sim.Time) {
 	if !f.lockstep {
-		if f.settleEvent(t) {
-			f.dirty = true
-		}
+		f.settleEvent(t)
 		return
 	}
 	up := make([]*fleetNode, 0, len(f.nodes))

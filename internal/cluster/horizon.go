@@ -149,71 +149,18 @@ func (n *fleetNode) noteMail(deliver sim.Time) { n.hz.lower(n, deliver) }
 
 // settleEvent is the event-horizon advancement phase: pop every node whose
 // wake lies at or inside the horizon, advance them through the worker
-// pool, and re-key them from their engines. It reports whether any node
-// advanced — the signal that completions may now be pending and the next
-// tick must run a full router phase.
-func (f *Fleet) settleEvent(horizon sim.Time) bool {
+// pool, and re-key them from their engines.
+func (f *Fleet) settleEvent(horizon sim.Time) {
 	act := f.activeBuf[:0]
 	for len(f.hz.nodes) > 0 && f.hz.nodes[0].wake <= horizon {
 		act = append(act, f.hz.pop())
 	}
 	f.activeBuf = act
 	if len(act) == 0 {
-		return false
+		return
 	}
 	f.pool.Run(len(act), func(i int) { act[i].node.AdvanceTo(horizon) })
 	for _, n := range act {
 		f.hz.push(n, nodeWake(n))
 	}
-	return true
-}
-
-// canSkipPhases reports whether this tick's entire router phase is
-// provably a no-op before running it, so the event-horizon loop can jump
-// straight to arrival generation:
-//
-//   - no node advanced since the last completion pull, so every replica's
-//     completion list is exactly as empty as that pull left it, no
-//     draining replica changed state (reap would find nothing new), and
-//     pullCompletions/reap are no-ops;
-//   - no node fault fires at this tick and no downed node recovers, so
-//     applyFaults is a no-op;
-//   - the autoscaler's next epoch lies beyond this tick;
-//   - every admission queue is empty, so drainQueue has nothing to retry
-//     or shed;
-//   - no gateway (hedge scans fire on elapsed time even without traffic),
-//     no telemetry (observe samples gauges every tick), and no observer
-//     (burn-rate monitors advance their windows every tick).
-//
-// Arrival generation can never be skipped: the workload generators restart
-// their exponential-gap draws from the window start and discard the
-// overshooting gap, so each tick window's RNG draws must happen exactly
-// once regardless of scheduler — that is what keeps this mode
-// byte-identical to lockstep.
-func (f *Fleet) canSkipPhases(now sim.Time) bool {
-	if f.dirty || f.gw != nil || f.tel != nil || f.obs != nil {
-		return false
-	}
-	if f.faultIdx < len(f.downFaults) && f.downFaults[f.faultIdx].At <= now {
-		return false
-	}
-	if f.scaler.next <= now {
-		return false
-	}
-	for _, n := range f.nodes {
-		if !n.up && n.downUntil >= 0 && now >= n.downUntil {
-			return false
-		}
-	}
-	for _, m := range f.router.models {
-		if len(m.queue) > 0 {
-			return false
-		}
-		// Pending KV handoffs must be released by routeTick: a skipped
-		// phase would strand prefilled sequences in transit.
-		if m.llm != nil && len(m.llm.handoffs) > 0 {
-			return false
-		}
-	}
-	return true
 }

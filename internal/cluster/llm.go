@@ -141,7 +141,7 @@ func (r *router) sendHandoff(m *modelState, h *replicaHandle, ho handoff, now si
 // releaseHandoffs routes every handoff whose KV transfer lands inside this
 // tick to a decode replica. Transfers still in flight — or blocked because
 // every decode replica is at its admission cap — stay queued for the next
-// tick (which canSkipPhases can therefore never skip).
+// tick.
 func (f *Fleet) releaseHandoffs(from, to sim.Time) {
 	for _, m := range f.router.models {
 		lm := m.llm
