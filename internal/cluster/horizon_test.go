@@ -89,8 +89,8 @@ func oracleScenarios(t *testing.T) map[string]func() Config {
 			cfg.Workloads = cfg.Workloads[:1]
 			return cfg
 		},
-		"llm-mixed":  func() Config { return llmBaseConfig() },
-		"llm-disagg": func() Config { return llmDisaggConfig() },
+		"llm-mixed":  llmBaseConfig,
+		"llm-disagg": llmDisaggConfig,
 	}
 }
 
