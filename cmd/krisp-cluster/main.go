@@ -19,7 +19,9 @@
 // trough = rate/4 up to peak = rate over the run. Faults are injected
 // with -degrade node:gpu:stretch (a GPU running slow for the whole run)
 // and -down node:at_ms[:dur_ms] (a node crash, optionally recovering), or
-// composed into fleet-scale stories with -chaos (see -chaos list).
+// composed into fleet-scale stories with -chaos (see -chaos list). A fault
+// naming a node or GPU outside the -nodes x -gpus fleet, or a negative
+// stretch or time, exits with status 2.
 // -gateway fronts the router with the resilience layer (admission control,
 // circuit breakers, hedging, retry budget) and prints its shed / hedged /
 // broken-circuit summary at exit; -chaos and -tenants imply it.
@@ -73,7 +75,6 @@ func main() {
 		epochMs    = flag.Int("epoch-ms", 50, "autoscaler replanning interval (virtual ms)")
 		tickUs     = flag.Int("tick-us", 2000, "router control interval (virtual us)")
 		seed       = flag.Int64("seed", 42, "seed for arrivals, jitter, and p2c sampling")
-		par        = flag.Int("parallel", 0, "node-advancement workers (0 = GOMAXPROCS, 1 = serial; results identical)")
 		headroom   = flag.Float64("headroom", 1.2, "autoscaler overprovisioning factor")
 		degrade    = flag.String("degrade", "", "inject a slow GPU: node:gpu:stretch (e.g. 1:0:3.0)")
 		down       = flag.String("down", "", "crash a node: node:at_ms[:dur_ms] (no duration = stays down)")
@@ -165,7 +166,7 @@ func main() {
 
 	var nodeFaults []faults.NodeFault
 	if *degrade != "" {
-		n, g, s, err := parseDegrade(*degrade)
+		n, g, s, err := parseDegrade(*degrade, *nodes, *gpus)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
@@ -175,7 +176,7 @@ func main() {
 		})
 	}
 	if *down != "" {
-		n, at, dur, err := parseDown(*down)
+		n, at, dur, err := parseDown(*down, *nodes)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
@@ -203,7 +204,6 @@ func main() {
 		Epoch:       sim.Duration(*epochMs) * sim.Millisecond,
 		Duration:    sim.Duration(*durationMs) * sim.Millisecond,
 		Seed:        *seed,
-		Parallel:    *par,
 		Headroom:    *headroom,
 		NodeFaults:  nodeFaults,
 		Costs:       costs,
@@ -397,7 +397,9 @@ func parseRange(s string) (min, max int, err error) {
 	return min, max, nil
 }
 
-func parseDegrade(s string) (node, gpu int, stretch float64, err error) {
+// parseDegrade parses -degrade node:gpu:stretch against the fleet shape:
+// the node and GPU must exist and the stretch must not be negative.
+func parseDegrade(s string, nodes, gpus int) (node, gpu int, stretch float64, err error) {
 	parts := strings.Split(s, ":")
 	if len(parts) != 3 {
 		return 0, 0, 0, fmt.Errorf("bad -degrade %q, want node:gpu:stretch", s)
@@ -405,28 +407,42 @@ func parseDegrade(s string) (node, gpu int, stretch float64, err error) {
 	node, e1 := strconv.Atoi(parts[0])
 	gpu, e2 := strconv.Atoi(parts[1])
 	stretch, e3 := strconv.ParseFloat(parts[2], 64)
-	if e1 != nil || e2 != nil || e3 != nil {
+	switch {
+	case e1 != nil || e2 != nil || e3 != nil:
 		return 0, 0, 0, fmt.Errorf("bad -degrade %q, want node:gpu:stretch", s)
+	case node < 0 || node >= nodes:
+		return 0, 0, 0, fmt.Errorf("bad -degrade %q: node %d outside the %d-node fleet", s, node, nodes)
+	case gpu < 0 || gpu >= gpus:
+		return 0, 0, 0, fmt.Errorf("bad -degrade %q: gpu %d outside the %d GPUs per node", s, gpu, gpus)
+	case stretch < 0:
+		return 0, 0, 0, fmt.Errorf("bad -degrade %q: negative stretch", s)
 	}
 	return node, gpu, stretch, nil
 }
 
-func parseDown(s string) (node int, at sim.Time, dur sim.Duration, err error) {
+// parseDown parses -down node:at_ms[:dur_ms] against the fleet size: the
+// node must exist and neither time may be negative.
+func parseDown(s string, nodes int) (node int, at sim.Time, dur sim.Duration, err error) {
 	parts := strings.Split(s, ":")
 	if len(parts) != 2 && len(parts) != 3 {
 		return 0, 0, 0, fmt.Errorf("bad -down %q, want node:at_ms[:dur_ms]", s)
 	}
 	node, e1 := strconv.Atoi(parts[0])
 	atMs, e2 := strconv.Atoi(parts[1])
-	if e1 != nil || e2 != nil {
-		return 0, 0, 0, fmt.Errorf("bad -down %q, want node:at_ms[:dur_ms]", s)
-	}
+	var durMs int
+	var e3 error
 	if len(parts) == 3 {
-		durMs, e3 := strconv.Atoi(parts[2])
-		if e3 != nil {
-			return 0, 0, 0, fmt.Errorf("bad -down %q, want node:at_ms[:dur_ms]", s)
-		}
-		dur = sim.Duration(durMs) * sim.Millisecond
+		durMs, e3 = strconv.Atoi(parts[2])
 	}
-	return node, sim.Time(atMs) * sim.Millisecond, dur, nil
+	switch {
+	case e1 != nil || e2 != nil || e3 != nil:
+		return 0, 0, 0, fmt.Errorf("bad -down %q, want node:at_ms[:dur_ms]", s)
+	case node < 0 || node >= nodes:
+		return 0, 0, 0, fmt.Errorf("bad -down %q: node %d outside the %d-node fleet", s, node, nodes)
+	case atMs < 0:
+		return 0, 0, 0, fmt.Errorf("bad -down %q: negative at_ms", s)
+	case durMs < 0:
+		return 0, 0, 0, fmt.Errorf("bad -down %q: negative dur_ms", s)
+	}
+	return node, sim.Time(atMs) * sim.Millisecond, sim.Duration(durMs) * sim.Millisecond, nil
 }

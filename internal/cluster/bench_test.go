@@ -12,7 +12,7 @@ import (
 	"krisp/internal/sim"
 )
 
-func benchConfig(b *testing.B, parallel int) Config {
+func benchConfig(b *testing.B) Config {
 	b.Helper()
 	m, ok := models.ByName("squeezenet")
 	if !ok {
@@ -35,7 +35,6 @@ func benchConfig(b *testing.B, parallel int) Config {
 		Epoch:    50 * sim.Millisecond,
 		Duration: 300 * sim.Millisecond,
 		Seed:     7,
-		Parallel: parallel,
 		Costs: reconfig.Costs{
 			PartitionSetup: 2 * sim.Millisecond,
 			ProcessStart:   3 * sim.Millisecond,
@@ -45,11 +44,11 @@ func benchConfig(b *testing.B, parallel int) Config {
 	}
 }
 
-// benchmarkFleet runs one full fleet experiment per iteration and reports
-// routed requests per wall-second — the fleet-throughput number tracked in
-// BENCH_PR5.json and the CI bench-smoke job.
-func benchmarkFleet(b *testing.B, parallel int) {
-	cfg := benchConfig(b, parallel)
+// BenchmarkFleetThroughput runs one full fleet experiment per iteration and
+// reports routed requests per wall-second — the fleet-throughput number
+// tracked in BENCH_PR5.json and the CI bench-smoke job.
+func BenchmarkFleetThroughput(b *testing.B) {
+	cfg := benchConfig(b)
 	// Planner profiling dominates cold runs; warm one fleet first so the
 	// loop measures simulation, not sweep construction (each New re-sweeps;
 	// that cost is part of a fleet build and belongs in the number).
@@ -65,9 +64,6 @@ func benchmarkFleet(b *testing.B, parallel int) {
 	}
 	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "requests/s")
 }
-
-func BenchmarkFleetThroughputSerial(b *testing.B)   { benchmarkFleet(b, 1) }
-func BenchmarkFleetThroughputParallel(b *testing.B) { benchmarkFleet(b, 0) }
 
 // scalingConfig holds per-node offered load constant while the fleet
 // grows, so the sweep measures scheduler scaling, not a shrinking
@@ -100,8 +96,7 @@ func scalingConfig(b *testing.B, nodes int) Config {
 }
 
 // BenchmarkFleetScaling is the fleet-size sweep: 4/16/64 nodes at
-// constant per-node load on the event-horizon scheduler with a
-// GOMAXPROCS worker pool.
+// constant per-node load on the event-horizon scheduler.
 func BenchmarkFleetScaling(b *testing.B) {
 	for _, nodes := range []int{4, 16, 64} {
 		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) {
@@ -219,12 +214,12 @@ func BenchmarkLLMFleet(b *testing.B) {
 }
 
 // BenchmarkFleetThroughputGateway is the gateway-on twin of
-// BenchmarkFleetThroughputSerial: the identical fleet and trace fronted by
+// BenchmarkFleetThroughput: the identical fleet and trace fronted by
 // the resilience gateway with its default mechanisms (deadline admission,
 // breakers, hedging, retry budget) enabled. The delta between the two is
 // the whole-run cost of resilience — tracked in BENCH_PR6.json.
 func BenchmarkFleetThroughputGateway(b *testing.B) {
-	cfg := benchConfig(b, 1)
+	cfg := benchConfig(b)
 	cfg.Gateway = &gateway.Config{}
 	total := 0
 	b.ResetTimer()

@@ -30,7 +30,6 @@ func chaosConfig(t *testing.T) Config {
 		Seed:     7,
 		Costs:    compressedCosts(),
 		Policy:   SLOAware,
-		Parallel: 1,
 	}
 }
 

@@ -8,15 +8,14 @@
 // which partition of which GPU serves each request (ParvaGPU's regime) and
 // when placements change. The fleet controller runs in fixed ticks:
 // requests arrive from deterministic workload generators, the router
-// admits and places them, nodes simulate concurrently (each owns its
-// engine, so parallel advancement is byte-identical to serial), and at
-// epoch boundaries the autoscaler replans against the trace, paying
-// reconfig costs for migrations and draining replicas on injected node
-// faults.
+// admits and places them, the nodes with work due inside the tick
+// simulate one after another on the tick goroutine (each owns its engine;
+// the package starts no goroutines), and at epoch boundaries the
+// autoscaler replans against the trace, paying reconfig costs for
+// migrations and draining replicas on injected node faults.
 package cluster
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
@@ -27,7 +26,6 @@ import (
 	"krisp/internal/hsa"
 	"krisp/internal/metrics"
 	"krisp/internal/models"
-	"krisp/internal/parallel"
 	"krisp/internal/profile"
 	"krisp/internal/reconfig"
 	"krisp/internal/sched"
@@ -79,11 +77,6 @@ type Config struct {
 	Duration sim.Duration
 	// Seed drives every random draw (arrivals, jitter, p2c sampling).
 	Seed int64
-	// Parallel bounds the worker pool that advances nodes concurrently;
-	// 0 picks GOMAXPROCS, 1 forces serial. Results are identical either
-	// way — each node owns its engine and RNGs, and the router only sees
-	// completions pulled at tick boundaries.
-	Parallel int
 	// Telemetry, when non-nil, exposes fleet gauges and counters (and the
 	// per-node serving stacks) on the hub's registry.
 	Telemetry *telemetry.Hub
@@ -109,7 +102,7 @@ type Config struct {
 	Jitter float64
 	// RecordRouting captures every routing decision into
 	// Result.RoutingLog — the determinism tests compare these byte for
-	// byte across serial and parallel runs.
+	// byte across repeated runs and against the lockstep oracle.
 	RecordRouting bool
 	// Gateway, when non-nil, fronts the router with the resilience layer:
 	// per-tenant rate limiting, circuit breakers, hedging under a retry
@@ -253,15 +246,15 @@ type Fleet struct {
 	killedBuf   []*replicaHandle
 
 	// now is the router-phase clock (the current tick's start), the lower
-	// bound mailbox sends clamp their delivery timestamps to; pool and
-	// activeBuf are the event-horizon scheduler's persistent workers and
-	// per-tick active-node scratch.
-	now       sim.Time
-	pool      *parallel.Pool
-	activeBuf []*fleetNode
-	mergeIdx  []int // k-way arrival-merge cursors, reused across ticks
+	// bound mailbox sends clamp their delivery timestamps to.
+	now      sim.Time
+	mergeIdx []int // k-way arrival-merge cursors, reused across ticks
 
-	// hz is the event-horizon scheduler's wake heap over up nodes.
+	// hz is the event-horizon scheduler's wake heap over up nodes. The
+	// nodes it pops advance serially on the tick goroutine: a tick
+	// advances a handful of nodes for ~10-25 µs each, and on a 2-vCPU
+	// host waking worker goroutines for them cost more CPU than running
+	// them in place (DESIGN.md §10).
 	hz *wakeHeap
 
 	// lockstep swaps the event-horizon scheduler for the reference one:
@@ -493,8 +486,6 @@ func New(cfg Config) *Fleet {
 func (f *Fleet) Run() *Result {
 	if !f.lockstep {
 		f.router.mailbox = true
-		f.pool = parallel.NewPool(f.cfg.Parallel)
-		defer f.pool.Close()
 		f.hz = &wakeHeap{}
 		for _, n := range f.nodes {
 			n.hz = f.hz
@@ -967,24 +958,17 @@ func (f *Fleet) observe() {
 // advance moves the fleet's nodes to the tick barrier t. The event-horizon
 // scheduler advances only the nodes whose wake falls inside it; the
 // lockstep oracle runs every up node to t. Nodes share nothing — each owns
-// its engine, devices, and RNGs — so either fan-out is deterministic.
+// its engine, devices, and RNGs — so the order they advance in cannot
+// change a result.
 func (f *Fleet) advance(t sim.Time) {
 	if !f.lockstep {
 		f.settleEvent(t)
 		return
 	}
-	up := make([]*fleetNode, 0, len(f.nodes))
 	for _, n := range f.nodes {
 		if n.up {
-			up = append(up, n)
+			n.node.RunUntil(t)
 		}
-	}
-	err := parallel.Each(context.Background(), f.cfg.Parallel, len(up), func(_ context.Context, i int) error {
-		up[i].node.RunUntil(t)
-		return nil
-	})
-	if err != nil {
-		panic(err) // only node-sim panics reach here; re-raise them
 	}
 }
 

@@ -56,7 +56,6 @@ func baseConfig(t *testing.T) Config {
 		Duration: 300 * sim.Millisecond,
 		Seed:     42,
 		Costs:    compressedCosts(),
-		Parallel: 1,
 	}
 }
 

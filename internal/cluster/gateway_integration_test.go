@@ -88,35 +88,3 @@ func TestHedgingDeterministicZeroFaults(t *testing.T) {
 		t.Fatalf("requests failed with zero faults: on %d, off %d", on.Failed, offRun.Failed)
 	}
 }
-
-// TestGatewayParallelLockstepIdentical: the gateway's verdicts live on the
-// fleet control goroutine, so parallel node advancement must not change a
-// single decision. This also doubles as the -race exercise for hedged
-// copies racing Drain/Kill: nodes die and replicas drain mid-flight while
-// hedge submissions and cancellations land from the control goroutine.
-func TestGatewayParallelLockstepIdentical(t *testing.T) {
-	run := func(parallel int) *Result {
-		cfg := chaosConfig(t)
-		applyChaos(t, &cfg, "rack-loss")
-		applyChaos(t, &cfg, "gray-node")
-		cfg.Gateway = &gateway.Config{}
-		cfg.RecordRouting = true
-		cfg.Parallel = parallel
-		return Run(cfg)
-	}
-	serial, par := run(1), run(4)
-	if serial.RoutingLog != par.RoutingLog {
-		t.Fatal("parallel fleet diverged from serial with gateway enabled")
-	}
-	if !gwStatsEqual(serial.Gateway, par.Gateway) {
-		t.Fatalf("gateway stats diverge under parallel advancement:\n%s\n%s",
-			serial.Gateway, par.Gateway)
-	}
-	if serial.Completed != par.Completed || serial.Failed != par.Failed {
-		t.Fatalf("results diverge: serial compl %d fail %d, parallel compl %d fail %d",
-			serial.Completed, serial.Failed, par.Completed, par.Failed)
-	}
-	if par.Gateway.Retries == 0 && par.Gateway.Hedges == 0 {
-		t.Fatal("scenario exercised neither hedges nor retries")
-	}
-}

@@ -148,19 +148,14 @@ func nodeWake(n *fleetNode) sim.Time {
 func (n *fleetNode) noteMail(deliver sim.Time) { n.hz.lower(n, deliver) }
 
 // settleEvent is the event-horizon advancement phase: pop every node whose
-// wake lies at or inside the horizon, advance them through the worker
-// pool, and re-key them from their engines.
+// wake lies at or inside the horizon, advance it on the calling goroutine,
+// and re-key it from its engine. AdvanceTo fires every event at or before
+// the horizon, so the re-pushed key lands past it and the loop visits each
+// active node once, in (wake, id) order.
 func (f *Fleet) settleEvent(horizon sim.Time) {
-	act := f.activeBuf[:0]
 	for len(f.hz.nodes) > 0 && f.hz.nodes[0].wake <= horizon {
-		act = append(act, f.hz.pop())
-	}
-	f.activeBuf = act
-	if len(act) == 0 {
-		return
-	}
-	f.pool.Run(len(act), func(i int) { act[i].node.AdvanceTo(horizon) })
-	for _, n := range act {
+		n := f.hz.pop()
+		n.node.AdvanceTo(horizon)
 		f.hz.push(n, nodeWake(n))
 	}
 }

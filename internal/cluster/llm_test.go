@@ -34,7 +34,6 @@ func llmBaseConfig() Config {
 		Duration: 300 * sim.Millisecond,
 		Seed:     42,
 		Costs:    compressedCosts(),
-		Parallel: 1,
 	}
 }
 
@@ -131,7 +130,6 @@ func TestLLMPerPhaseBeatsShared(t *testing.T) {
 			Duration: 300 * sim.Millisecond,
 			Seed:     42,
 			Costs:    compressedCosts(),
-			Parallel: 1,
 		}
 		return Run(cfg)
 	}
@@ -160,11 +158,10 @@ func TestLLMPerPhaseBeatsShared(t *testing.T) {
 
 // TestLLMMatrixIdentical is the LLM determinism guarantee: a disaggregated
 // continuous-batching fleet (plus a classic model sharing the merge) must
-// produce byte-identical routing logs and results on both schedulers and
-// every worker count, with journey sampling on. Run under -race this also
-// proves token-boundary joins stay on the node goroutines.
+// produce byte-identical routing logs and results on both schedulers, with
+// journey sampling on.
 func TestLLMMatrixIdentical(t *testing.T) {
-	run := func(lockstep bool, workers int, obs *Observability) *Result {
+	run := func(lockstep bool, obs *Observability) *Result {
 		cfg := llmDisaggConfig()
 		sq, _ := models.ByName("squeezenet")
 		cfg.Workloads = append(cfg.Workloads, Workload{
@@ -174,10 +171,10 @@ func TestLLMMatrixIdentical(t *testing.T) {
 		})
 		cfg.Policy = SLOAware
 		cfg.Obs = obs
-		return runFleet(cfg, lockstep, workers)
+		return runFleet(cfg, lockstep)
 	}
 
-	base := run(true, 1, nil)
+	base := run(true, nil)
 	if base.RoutingLog == "" {
 		t.Fatal("no routing decisions recorded")
 	}
@@ -186,10 +183,7 @@ func TestLLMMatrixIdentical(t *testing.T) {
 	}
 	obs := &Observability{SampleEvery: 1, Monitors: true, FlightCap: 32}
 	for _, lockstep := range []bool{true, false} {
-		for _, workers := range []int{1, 0, 8} {
-			requireIdentical(t, fmt.Sprintf("lockstep=%v workers=%d", lockstep, workers),
-				base, run(lockstep, workers, obs))
-		}
+		requireIdentical(t, fmt.Sprintf("lockstep=%v", lockstep), base, run(lockstep, obs))
 	}
 }
 

@@ -34,11 +34,9 @@ func grayBurn() telemetry.BurnConfig {
 // TestJourneyMatrixIdentical is the observability determinism guarantee:
 // full journey sampling plus burn-rate monitors must leave the routing log
 // and the entire Result byte-identical to an unobserved lockstep run — on
-// both schedulers and every worker count, with the gateway's hedging and a
-// node fault in play. Run under -race this also proves the observer stays
-// on the control goroutine.
+// both schedulers, with the gateway's hedging and a node fault in play.
 func TestJourneyMatrixIdentical(t *testing.T) {
-	run := func(lockstep bool, workers int, obs *Observability) *Result {
+	run := func(lockstep bool, obs *Observability) *Result {
 		cfg := baseConfig(t)
 		cfg.Policy = SLOAware
 		cfg.Gateway = &gateway.Config{}
@@ -48,19 +46,16 @@ func TestJourneyMatrixIdentical(t *testing.T) {
 			{At: 140 * sim.Millisecond, Node: 2, Kind: faults.NodeDown,
 				Duration: 80 * sim.Millisecond},
 		}
-		return runFleet(cfg, lockstep, workers)
+		return runFleet(cfg, lockstep)
 	}
 
-	base := run(true, 1, nil)
+	base := run(true, nil)
 	if base.RoutingLog == "" {
 		t.Fatal("no routing decisions recorded")
 	}
 	obs := &Observability{SampleEvery: 1, Monitors: true, FlightCap: 32}
 	for _, lockstep := range []bool{true, false} {
-		for _, workers := range []int{1, 0, 8} {
-			requireIdentical(t, fmt.Sprintf("journeys lockstep=%v workers=%d", lockstep, workers),
-				base, run(lockstep, workers, obs))
-		}
+		requireIdentical(t, fmt.Sprintf("journeys lockstep=%v", lockstep), base, run(lockstep, obs))
 	}
 }
 
@@ -303,7 +298,6 @@ func BenchmarkFleetScalingJourneys(b *testing.B) {
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			cfg := scalingConfig(b, 16)
-			cfg.Parallel = 0
 			cfg.Obs = bc.obs
 			total := 0
 			b.ResetTimer()

@@ -127,8 +127,8 @@ func (w *latWindow) p95() float64 {
 // replicaHandle is the router's view of one placed gpulet. The outstanding
 // count is router-side accounting (incremented on route, decremented when
 // the completion is pulled) — the router never peeks into a node
-// mid-advancement, which is what keeps concurrent node simulation
-// deterministic.
+// mid-advancement, so how far each node's clock has run cannot change a
+// decision.
 type replicaHandle struct {
 	id        int // stable fleet-wide creation order
 	node, gpu int

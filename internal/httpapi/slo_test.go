@@ -40,7 +40,6 @@ func runObservedFleet(t *testing.T) {
 			SwapDowntime:   55 * sim.Microsecond,
 		},
 		Policy:    cluster.SLOAware,
-		Parallel:  1,
 		Gateway:   &gateway.Config{},
 		Telemetry: telemetry.DefaultHub(),
 		Obs:       &cluster.Observability{SampleEvery: 1, Monitors: true, FlightCap: 64},
