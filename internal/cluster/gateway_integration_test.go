@@ -88,3 +88,34 @@ func TestHedgingDeterministicZeroFaults(t *testing.T) {
 		t.Fatalf("requests failed with zero faults: on %d, off %d", on.Failed, offRun.Failed)
 	}
 }
+
+// TestGatewayParallelLockstepIdentical: the gateway's verdicts live on the
+// fleet control goroutine, so advancing each node on its own clock under
+// the event-horizon scheduler, rather than every node every tick in
+// lockstep, must not change a single decision. Nodes die and replicas drain
+// mid-flight while hedge submissions and cancellations land, so hedged
+// copies racing Drain/Kill are on the path.
+func TestGatewayParallelLockstepIdentical(t *testing.T) {
+	mk := func() Config {
+		cfg := chaosConfig(t)
+		applyChaos(t, &cfg, "rack-loss")
+		applyChaos(t, &cfg, "gray-node")
+		cfg.Gateway = &gateway.Config{}
+		return cfg
+	}
+	lockstep, horizon := runFleet(mk(), true), runFleet(mk(), false)
+	if lockstep.RoutingLog != horizon.RoutingLog {
+		t.Fatal("event-horizon fleet diverged from lockstep with gateway enabled")
+	}
+	if !gwStatsEqual(lockstep.Gateway, horizon.Gateway) {
+		t.Fatalf("gateway stats diverge under event-horizon advancement:\n%s\n%s",
+			lockstep.Gateway, horizon.Gateway)
+	}
+	if lockstep.Completed != horizon.Completed || lockstep.Failed != horizon.Failed {
+		t.Fatalf("results diverge: lockstep compl %d fail %d, event-horizon compl %d fail %d",
+			lockstep.Completed, lockstep.Failed, horizon.Completed, horizon.Failed)
+	}
+	if horizon.Gateway.Retries == 0 && horizon.Gateway.Hedges == 0 {
+		t.Fatal("scenario exercised neither hedges nor retries")
+	}
+}
