@@ -21,7 +21,9 @@
 // and -down node:at_ms[:dur_ms] (a node crash, optionally recovering), or
 // composed into fleet-scale stories with -chaos (see -chaos list). A fault
 // naming a node or GPU outside the -nodes x -gpus fleet, or a negative
-// stretch or time, exits with status 2.
+// stretch or time, exits with status 2, as does a fleet shape or timing
+// that describes no run (-nodes, -gpus, -batch, -llm-maxseqs, -tick-us,
+// -epoch-ms or -duration-ms below 1; a negative -rate or -llm-rate).
 // -gateway fronts the router with the resilience layer (admission control,
 // circuit breakers, hedging, retry budget) and prints its shed / hedged /
 // broken-circuit summary at exit; -chaos and -tenants imply it.
@@ -102,6 +104,16 @@ func main() {
 			fmt.Printf("%-16s %s\n", s.Name, s.Description)
 		}
 		return
+	}
+
+	sh := shape{
+		nodes: *nodes, gpus: *gpus, batch: *batch, llmSeqs: *llmSeqs,
+		tickUs: *tickUs, epochMs: *epochMs, durationMs: *durationMs,
+		rate: *rate, llmRate: *llmRate,
+	}
+	if err := sh.validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 
 	var workloads []cluster.Workload
@@ -382,6 +394,40 @@ func dumpFlight(fl *telemetry.FlightRecorder, jsonPath, tracePath string) {
 	}
 	write(jsonPath, fl.WriteJSON)
 	write(tracePath, fl.WriteChromeTrace)
+}
+
+// shape is the fleet's size and timing as given on the command line.
+type shape struct {
+	nodes, gpus, batch, llmSeqs int
+	tickUs, epochMs, durationMs int
+	rate, llmRate               float64
+}
+
+// validate rejects a shape that describes no run. cluster.New would
+// otherwise swap a zero for its default (-nodes 0 runs 3 nodes, -tick-us 0
+// runs 2 ms ticks) while the fault parsers still check against the zero,
+// and a negative rate would place replicas and route nothing.
+func (s shape) validate() error {
+	for _, c := range []struct {
+		flag string
+		v    int
+	}{
+		{"-nodes", s.nodes}, {"-gpus", s.gpus}, {"-batch", s.batch}, {"-llm-maxseqs", s.llmSeqs},
+		{"-tick-us", s.tickUs}, {"-epoch-ms", s.epochMs}, {"-duration-ms", s.durationMs},
+	} {
+		if c.v < 1 {
+			return fmt.Errorf("bad %s %d: must be at least 1", c.flag, c.v)
+		}
+	}
+	for _, c := range []struct {
+		flag string
+		v    float64
+	}{{"-rate", s.rate}, {"-llm-rate", s.llmRate}} {
+		if !(c.v >= 0) { // also rejects NaN
+			return fmt.Errorf("bad %s %v: must be >= 0", c.flag, c.v)
+		}
+	}
+	return nil
 }
 
 func parseRange(s string) (min, max int, err error) {

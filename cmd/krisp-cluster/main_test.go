@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -65,5 +66,50 @@ func TestParseFaultFlagValues(t *testing.T) {
 	}
 	if _, _, dur, _ := parseDown("1:120", 3); dur != 0 {
 		t.Fatalf("parseDown without a duration: dur = %v, want 0 (stays down)", dur)
+	}
+}
+
+// TestShapeValidate checks the fleet shape and timing flags: the defaults
+// pass, and each impossible value is rejected with a message naming its
+// flag instead of being swapped for a library default.
+func TestShapeValidate(t *testing.T) {
+	defaults := shape{
+		nodes: 3, gpus: 2, batch: 8, llmSeqs: 8,
+		tickUs: 2000, epochMs: 50, durationMs: 300,
+		rate: 5000, llmRate: 300,
+	}
+	if err := defaults.validate(); err != nil {
+		t.Fatalf("default flags rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		mutate  func(*shape)
+		wantErr string // empty: must pass
+	}{
+		{func(s *shape) { s.nodes = 0 }, "-nodes 0: must be at least 1"},
+		{func(s *shape) { s.nodes = -2 }, "-nodes -2"},
+		{func(s *shape) { s.gpus = 0 }, "-gpus 0: must be at least 1"},
+		{func(s *shape) { s.batch = 0 }, "-batch 0: must be at least 1"},
+		{func(s *shape) { s.llmSeqs = 0 }, "-llm-maxseqs 0: must be at least 1"},
+		{func(s *shape) { s.tickUs = 0 }, "-tick-us 0: must be at least 1"},
+		{func(s *shape) { s.epochMs = -1 }, "-epoch-ms -1: must be at least 1"},
+		{func(s *shape) { s.durationMs = 0 }, "-duration-ms 0: must be at least 1"},
+		{func(s *shape) { s.rate = -100 }, "-rate -100: must be >= 0"},
+		{func(s *shape) { s.llmRate = -1 }, "-llm-rate -1: must be >= 0"},
+		{func(s *shape) { s.rate = math.NaN() }, "-rate NaN"},
+		{func(s *shape) { s.nodes, s.gpus, s.batch, s.llmSeqs = 1, 1, 1, 1 }, ""},
+		{func(s *shape) { s.tickUs, s.epochMs, s.durationMs = 1, 1, 1 }, ""},
+		{func(s *shape) { s.rate, s.llmRate = 0, 0 }, ""},
+	} {
+		s := defaults
+		tc.mutate(&s)
+		err := s.validate()
+		switch {
+		case tc.wantErr == "" && err != nil:
+			t.Errorf("%+v: unexpected error %v", s, err)
+		case tc.wantErr != "" && err == nil:
+			t.Errorf("%+v: accepted, want error containing %q", s, tc.wantErr)
+		case tc.wantErr != "" && !strings.Contains(err.Error(), tc.wantErr):
+			t.Errorf("%+v: error %q, want it to contain %q", s, err, tc.wantErr)
+		}
 	}
 }

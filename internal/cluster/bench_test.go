@@ -123,7 +123,7 @@ func routingBench(pol Policy) (*router, *modelState) {
 	for i := 0; i < 8; i++ {
 		h := &replicaHandle{id: i}
 		for j := 0; j < 64; j++ {
-			h.lat.add(float64(5000 + i*100 + j))
+			h.lat.Add(float64(5000 + i*100 + j))
 		}
 		m.replicas = append(m.replicas, h)
 	}

@@ -581,7 +581,6 @@ func (f *Fleet) spawnReplica(t target, readyAt sim.Time) {
 	f.handles = append(f.handles, h)
 	n.handles = append(n.handles, h)
 	m.replicas = append(m.replicas, h)
-	f.router.invalidate()
 	if f.gw != nil {
 		f.handleByID[h.id] = h
 		h.breaker = f.gw.AddReplica(h.id)
@@ -593,7 +592,6 @@ func (f *Fleet) spawnReplica(t target, readyAt sim.Time) {
 func (f *Fleet) drainReplica(h *replicaHandle) {
 	h.draining = true
 	h.rep.Drain()
-	f.router.invalidate()
 }
 
 func (f *Fleet) modelByName(name string) *modelState {
@@ -665,7 +663,6 @@ func (f *Fleet) applyFaults(now sim.Time) {
 		}
 		// Mark every handle dead before running the gateway's loss pass, so
 		// retries cannot land on a sibling replica of the same dying node.
-		f.router.invalidate()
 		f.killedBuf = f.killedBuf[:0]
 		for _, h := range n.handles {
 			if h.dead {
@@ -750,7 +747,6 @@ func (f *Fleet) reap() {
 	if !changed {
 		return
 	}
-	f.router.invalidate()
 	f.handles = compact(f.handles)
 	for _, n := range f.nodes {
 		n.handles = compact(n.handles)

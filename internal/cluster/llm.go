@@ -125,17 +125,7 @@ func (r *router) sendHandoff(m *modelState, h *replicaHandle, ho handoff, now si
 		fmt.Fprintf(r.log, "%d %s~>%d\n", r.seq, m.name, h.id)
 	}
 	r.tel.traceRoute(now, h.id)
-	deliver := ho.due
-	if deliver < now {
-		deliver = now
-	}
-	if r.mailbox {
-		h.nodeRef.node.PostSubmitSeq(deliver, ho.arrival, h.rep, ho.id, ho.prompt, ho.output, true)
-		h.nodeRef.noteMail(deliver)
-		return
-	}
-	rep, at, id, p, o := h.rep, ho.arrival, ho.id, ho.prompt, ho.output
-	h.nodeRef.node.Schedule(deliver, func() { rep.SubmitSeq(at, id, p, o, true) })
+	r.deliver(h, ho.due, now, ho.arrival, ho.id, ho.prompt, ho.output, true)
 }
 
 // releaseHandoffs routes every handoff whose KV transfer lands inside this

@@ -225,7 +225,7 @@ func obsRouterBench(sampleEvery int) (*router, *modelState, *fleetObserver) {
 	for i := 0; i < 8; i++ {
 		h := &replicaHandle{id: i}
 		for j := 0; j < 64; j++ {
-			h.lat.add(float64(5000 + i*100 + j))
+			h.lat.Add(float64(5000 + i*100 + j))
 		}
 		m.replicas = append(m.replicas, h)
 	}

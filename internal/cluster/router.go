@@ -61,69 +61,6 @@ func PolicyByName(name string) (Policy, error) {
 	return 0, fmt.Errorf("cluster: unknown routing policy %q", name)
 }
 
-// latWindow keeps the most recent completed-request latencies of one
-// replica and serves their P95 with a lazily-sorted scratch copy.
-type latWindow struct {
-	buf     [64]float64
-	n, next int
-	dirty   bool
-	p95v    float64
-}
-
-func (w *latWindow) add(v float64) {
-	w.buf[w.next] = v
-	w.next = (w.next + 1) % len(w.buf)
-	if w.n < len(w.buf) {
-		w.n++
-	}
-	w.dirty = true
-}
-
-// p95 returns the window's 95th percentile, 0 when empty. The percentile
-// index for n <= 64 samples is always within the top 4, so a single pass
-// keeping the k largest replaces the sorted-scratch approach — same value
-// (the k-th largest equals sorted[idx] even with duplicates), no copy, no
-// sort. The router recomputes this after every completion, which made it
-// one of the fleet's hottest non-simulation paths.
-func (w *latWindow) p95() float64 {
-	if w.n == 0 {
-		return 0
-	}
-	if w.dirty {
-		idx := (w.n*95 + 99) / 100
-		if idx > 0 {
-			idx--
-		}
-		k := w.n - idx // p95 is the k-th largest sample; k in [1,4]
-		var top [4]float64
-		m := 0
-		for _, v := range w.buf[:w.n] {
-			if m < k {
-				i := m
-				for i > 0 && top[i-1] > v {
-					top[i] = top[i-1]
-					i--
-				}
-				top[i] = v
-				m++
-				continue
-			}
-			if v <= top[0] {
-				continue
-			}
-			i := 0
-			for i+1 < k && top[i+1] < v {
-				top[i] = top[i+1]
-				i++
-			}
-			top[i] = v
-		}
-		w.p95v = top[0]
-		w.dirty = false
-	}
-	return w.p95v
-}
-
 // replicaHandle is the router's view of one placed gpulet. The outstanding
 // count is router-side accounting (incremented on route, decremented when
 // the completion is pulled) — the router never peeks into a node
@@ -150,16 +87,22 @@ type replicaHandle struct {
 
 	outstanding int
 	routed      int
-	lat         latWindow
+	lat         metrics.LatWindow
 }
 
 func (h *replicaHandle) routable(now sim.Time) bool {
 	return !h.dead && !h.draining && h.readyAt <= now && h.breaker.Allow(now)
 }
 
-// accepts reports whether fresh arrivals may route here: decode-role
-// replicas only serve sequences handed off after prefill, never prompts.
-func (h *replicaHandle) accepts() bool { return h.role != server.LLMRoleDecode }
+// eligible reports whether a fresh arrival may route here at now: not the
+// excluded replica (a hedge copy must land elsewhere; -1 excludes nothing),
+// not decode-role (those only serve sequences handed off after prefill),
+// and routable. routable goes last because a breaker's Allow is stateful —
+// it moves an expired open breaker to half-open — so it must run only on
+// replicas that pass every other test.
+func (h *replicaHandle) eligible(now sim.Time, exclude int) bool {
+	return h.id != exclude && h.role != server.LLMRoleDecode && h.routable(now)
+}
 
 // queuedReq is one admission-queued request.
 type queuedReq struct {
@@ -195,19 +138,9 @@ type modelState struct {
 	tokensOut     int
 	latency       metrics.Sample
 
-	// readyBuf caches the routable replica set for one routing phase, keyed
-	// by (cacheAt, cacheEpoch): within a tick the router clock is frozen and
-	// the replica set only changes at control-plane points that bump the
-	// router epoch, so every pick of the phase reuses one filtered scan
-	// instead of re-testing routability per candidate (the cost that made
-	// p2c rebuild — and allocate — its candidate slice on every decision).
-	// Only maintained without a gateway: circuit breakers make routability
-	// stateful (a half-open breaker admits exactly one probe), so gateway
-	// picks keep the exact per-decision scan.
-	readyBuf   []*replicaHandle
-	cacheAt    sim.Time
-	cacheEpoch uint64
-	cacheBuilt bool
+	// readyBuf is power-of-two's scratch candidate slice, reused across
+	// decisions so sampling allocates nothing.
+	readyBuf []*replicaHandle
 }
 
 // router is the SLO-aware front end: per-model queues, pluggable replica
@@ -232,20 +165,10 @@ type router struct {
 	gw     *gateway.Gateway
 	reqSeq uint64 // request identity allocator (gateway mode; ids start at 1)
 
-	// mailbox switches sends from scheduling closures on node engines (the
-	// lockstep oracle's transport) to posting timestamped mail (the
-	// event-horizon scheduler's). The delivery timestamp is clamped to the
-	// router clock — the same clamp Schedule applies against the node
-	// clock under lockstep, where the two clocks are equal at every router
-	// phase.
+	// mailbox selects deliver's transport: timestamped mail (the
+	// event-horizon scheduler) rather than one closure per copy on the node
+	// engine (the lockstep oracle).
 	mailbox bool
-
-	// epoch versions the replica sets: every control-plane mutation that can
-	// change a handle's routability (spawn, drain, kill, reap) bumps it,
-	// invalidating each model's cached ready set. Completions don't — they
-	// touch latency windows and outstanding counts, which the pick paths
-	// read fresh, never routability.
-	epoch uint64
 
 	// log records every routing decision when non-nil (determinism tests,
 	// debugging). One line per request: "<seq> <model>-><replica id>" or
@@ -276,8 +199,8 @@ func newRouter(policy Policy, seed int64, outstandingCap, queueCap int, tel *fle
 // dead-silent replica — routed to, never completing — must not keep
 // winning on a flat neutral prior while its queue grows without bound.
 func predictUs(m *modelState, h *replicaHandle) float64 {
-	p95 := h.lat.p95()
-	if h.lat.n == 0 {
+	p95 := h.lat.P95()
+	if h.lat.Len() == 0 {
 		p95 = m.sloUs / 2 * (1 + float64(h.outstanding))
 	}
 	return p95 * (1 + float64(h.outstanding)/float64(m.batch))
@@ -290,8 +213,8 @@ func predictUs(m *modelState, h *replicaHandle) float64 {
 // replica sees at its steady-state depth, so only backlog beyond one
 // in-flight batch (true excess queue) escalates the estimate.
 func feasibleUs(m *modelState, h *replicaHandle) float64 {
-	p95 := h.lat.p95()
-	if h.lat.n == 0 {
+	p95 := h.lat.P95()
+	if h.lat.Len() == 0 {
 		p95 = m.sloUs / 2 * (1 + float64(h.outstanding))
 	}
 	excess := float64(h.outstanding - m.batch)
@@ -309,7 +232,7 @@ func feasibleUs(m *modelState, h *replicaHandle) float64 {
 func (r *router) bestPredictUs(m *modelState, now sim.Time) float64 {
 	best := math.Inf(1)
 	for _, h := range m.replicas {
-		if !h.accepts() || !h.routable(now) {
+		if !h.eligible(now, -1) {
 			continue
 		}
 		if s := feasibleUs(m, h); s < best {
@@ -319,43 +242,19 @@ func (r *router) bestPredictUs(m *modelState, now sim.Time) float64 {
 	return best
 }
 
-// invalidate marks every cached ready set stale; callers invoke it on any
-// control-plane change to a handle's routability flags.
-func (r *router) invalidate() { r.epoch++ }
-
-// readySet returns the model's routable replicas in replica order,
-// rebuilding the cached set only when the phase clock or replica epoch
-// moved. Candidates at their outstanding cap are included — each policy
-// applies its own headroom test — so the set stays valid across the sends
-// of one phase (sends raise outstanding, never routability).
-func (r *router) readySet(m *modelState, now sim.Time) []*replicaHandle {
-	if m.cacheBuilt && m.cacheAt == now && m.cacheEpoch == r.epoch {
-		return m.readyBuf
-	}
-	m.readyBuf = m.readyBuf[:0]
-	for _, h := range m.replicas {
-		if h.accepts() && h.routable(now) {
-			m.readyBuf = append(m.readyBuf, h)
-		}
-	}
-	m.cacheAt, m.cacheEpoch, m.cacheBuilt = now, r.epoch, true
-	return m.readyBuf
-}
-
-// pick selects a routable replica with admission headroom, or nil when
+// pick selects an eligible replica with admission headroom, or nil when
 // every candidate is at its outstanding cap (the request then queues).
 // exclude skips one replica id (hedge copies must land elsewhere); -1
-// excludes nothing. Without a gateway the candidate scan runs over the
-// phase-cached ready set; gateway picks (stateful breakers, hedge
-// exclusions) re-test routability per decision, exactly as before.
+// excludes nothing. Every policy is one scan of m.replicas with the
+// eligibility test inline: round-robin from its cursor up to the first
+// hit, the others in full.
 func (r *router) pick(m *modelState, now sim.Time, exclude int) *replicaHandle {
-	cached := r.gw == nil && exclude < 0
 	switch r.policy {
 	case RoundRobin:
 		n := len(m.replicas)
 		for i := 0; i < n; i++ {
 			h := m.replicas[(m.rrNext+i)%n]
-			if h.id != exclude && h.accepts() && h.routable(now) && h.outstanding < r.outstandingCap {
+			if h.eligible(now, exclude) && h.outstanding < r.outstandingCap {
 				m.rrNext = (m.rrNext + i + 1) % n
 				return h
 			}
@@ -364,19 +263,8 @@ func (r *router) pick(m *modelState, now sim.Time, exclude int) *replicaHandle {
 
 	case LeastOutstanding:
 		var best *replicaHandle
-		if cached {
-			for _, h := range r.readySet(m, now) {
-				if h.outstanding >= r.outstandingCap {
-					continue
-				}
-				if best == nil || h.outstanding < best.outstanding {
-					best = h
-				}
-			}
-			return best
-		}
 		for _, h := range m.replicas {
-			if h.id == exclude || !h.accepts() || !h.routable(now) || h.outstanding >= r.outstandingCap {
+			if !h.eligible(now, exclude) || h.outstanding >= r.outstandingCap {
 				continue
 			}
 			if best == nil || h.outstanding < best.outstanding {
@@ -386,18 +274,13 @@ func (r *router) pick(m *modelState, now sim.Time, exclude int) *replicaHandle {
 		return best
 
 	case PowerOfTwo:
-		var ready []*replicaHandle
-		if cached {
-			ready = r.readySet(m, now)
-		} else {
-			ready = m.readyBuf[:0]
-			for _, h := range m.replicas {
-				if h.id != exclude && h.accepts() && h.routable(now) {
-					ready = append(ready, h)
-				}
+		ready := m.readyBuf[:0]
+		for _, h := range m.replicas {
+			if h.eligible(now, exclude) {
+				ready = append(ready, h)
 			}
-			m.readyBuf, m.cacheBuilt = ready, false
 		}
+		m.readyBuf = ready
 		if len(ready) == 0 {
 			return nil
 		}
@@ -417,20 +300,8 @@ func (r *router) pick(m *modelState, now sim.Time, exclude int) *replicaHandle {
 	case SLOAware:
 		var best *replicaHandle
 		bestScore := 0.0
-		if cached {
-			for _, h := range r.readySet(m, now) {
-				if h.outstanding >= r.outstandingCap {
-					continue
-				}
-				score := predictUs(m, h)
-				if best == nil || score < bestScore || (score == bestScore && h.id < best.id) {
-					best, bestScore = h, score
-				}
-			}
-			return best
-		}
 		for _, h := range m.replicas {
-			if h.id == exclude || !h.accepts() || !h.routable(now) || h.outstanding >= r.outstandingCap {
+			if !h.eligible(now, exclude) || h.outstanding >= r.outstandingCap {
 				continue
 			}
 			score := predictUs(m, h)
@@ -481,8 +352,6 @@ func (r *router) send(m *modelState, h *replicaHandle, arrival, now sim.Time, te
 	if r.log != nil {
 		fmt.Fprintf(r.log, "%d %s->%d\n", r.seq, m.name, h.id)
 	}
-	rep := h.rep
-	at := arrival
 	var id uint64
 	if r.gw != nil || r.obs.journeysOn() {
 		r.reqSeq++
@@ -493,29 +362,29 @@ func (r *router) send(m *modelState, h *replicaHandle, arrival, now sim.Time, te
 	}
 	r.obs.onSend(id, m, h, tenant, arrival, now)
 	r.tel.traceRoute(now, h.id)
+	r.deliver(h, arrival, now, arrival, id, prompt, output, false)
+}
+
+// deliver hands one request copy to replica h at virtual time due, clamped
+// to the router clock now: a queued re-send, or a handoff whose transfer
+// landed earlier in the tick, delivers now. arrival stays the copy's true
+// arrival, so its latency still counts from there. The copy enters through
+// Replica.SubmitSeq, which a classic replica takes as SubmitID; prefilled
+// marks a disaggregated KV handoff joining decode directly. The
+// event-horizon scheduler posts the copy as timestamped mail and lowers the
+// node's wake; the lockstep oracle schedules it as one closure on the node
+// engine, whose clock equals the router's at every router phase.
+func (r *router) deliver(h *replicaHandle, due, now, arrival sim.Time, id uint64, prompt, output int, prefilled bool) {
+	if due < now {
+		due = now
+	}
 	if r.mailbox {
-		deliver := at
-		if deliver < now {
-			deliver = now // queued re-sends deliver now, like Schedule's clamp
-		}
-		if prompt > 0 {
-			h.nodeRef.node.PostSubmitSeq(deliver, at, rep, id, prompt, output, false)
-		} else {
-			h.nodeRef.node.PostSubmit(deliver, at, rep, id)
-		}
-		h.nodeRef.noteMail(deliver)
+		h.nodeRef.node.Post(due, arrival, h.rep, id, prompt, output, prefilled)
+		h.nodeRef.noteMail(due)
 		return
 	}
-	if prompt > 0 {
-		p, o := prompt, output
-		h.nodeRef.node.Schedule(at, func() { rep.SubmitSeq(at, id, p, o, false) })
-		return
-	}
-	if id != 0 {
-		h.nodeRef.node.Schedule(at, func() { rep.SubmitID(at, id) })
-		return
-	}
-	h.nodeRef.node.Schedule(at, func() { rep.Submit(at) })
+	rep := h.rep
+	h.nodeRef.node.Schedule(due, func() { rep.SubmitSeq(arrival, id, prompt, output, prefilled) })
 }
 
 // drainQueue re-attempts queued requests (oldest first) and sheds the ones
@@ -563,7 +432,7 @@ func (r *router) absorb(m *modelState, h *replicaHandle, c server.Completion, no
 		return
 	}
 	lat := float64(c.End - c.Arrival)
-	h.lat.add(lat)
+	h.lat.Add(lat)
 	if h.role == server.LLMRolePrefill && m.llm != nil {
 		// A finished prefill is not a served request yet: bill the KV
 		// transfer and queue the sequence for a decode replica. The journey

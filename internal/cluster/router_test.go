@@ -99,8 +99,8 @@ func TestSLOAwareAvoidsSlowReplica(t *testing.T) {
 	m := fakeModel(2)
 	// Replica 0 observed fast completions, replica 1 slow ones.
 	for i := 0; i < 20; i++ {
-		m.replicas[0].lat.add(5000)
-		m.replicas[1].lat.add(50000)
+		m.replicas[0].lat.Add(5000)
+		m.replicas[1].lat.Add(50000)
 	}
 	for i := 0; i < 3; i++ {
 		h := r.pick(m, 0, -1)
@@ -154,26 +154,6 @@ func TestDrainQueueShedsStale(t *testing.T) {
 	}
 }
 
-func TestLatWindowP95(t *testing.T) {
-	var w latWindow
-	if got := w.p95(); got != 0 {
-		t.Fatalf("empty window p95 = %v, want 0", got)
-	}
-	for i := 1; i <= 100; i++ {
-		w.add(float64(i))
-	}
-	// Window holds the last 64 values: 37..100; p95 is near the top.
-	got := w.p95()
-	if got < 95 || got > 100 {
-		t.Fatalf("p95 = %v, want within [95, 100]", got)
-	}
-	// Cached value invalidates on add.
-	w.add(1e9)
-	if w.p95() <= got {
-		t.Fatal("p95 did not react to a new extreme sample")
-	}
-}
-
 func TestSLOAwareAvoidsDeadSilentReplica(t *testing.T) {
 	// Regression: a replica with zero healthy history — routed to, never
 	// completing — must not keep winning on a flat neutral prior while its
@@ -186,7 +166,7 @@ func TestSLOAwareAvoidsDeadSilentReplica(t *testing.T) {
 	// the neutral prior (sloUs/2 = 10000us), the regime where the old flat
 	// prior made the silent replica win forever.
 	for i := 0; i < 20; i++ {
-		m.replicas[1].lat.add(25000)
+		m.replicas[1].lat.Add(25000)
 	}
 	silentPicks := 0
 	for i := 0; i < 40; i++ {
@@ -200,7 +180,7 @@ func TestSLOAwareAvoidsDeadSilentReplica(t *testing.T) {
 		} else {
 			// The live replica completes what it gets.
 			h.outstanding--
-			h.lat.add(25000)
+			h.lat.Add(25000)
 		}
 	}
 	if silentPicks == 0 {
@@ -224,7 +204,7 @@ func TestFeasibleUsNoBacklogDoubleCount(t *testing.T) {
 	m := fakeModel(1)
 	h := m.replicas[0]
 	for i := 0; i < 20; i++ {
-		h.lat.add(8000)
+		h.lat.Add(8000)
 	}
 	h.outstanding = m.batch // one batch in flight: no excess
 	if got := feasibleUs(m, h); got != 8000 {
@@ -241,12 +221,13 @@ func TestFeasibleUsNoBacklogDoubleCount(t *testing.T) {
 	}
 }
 
-// TestRoutingDecisionZeroAlloc guards the router's cached candidate sets:
-// a steady-state routing decision allocates nothing under any policy.
+// TestRoutingDecisionZeroAlloc guards the per-request routing path: a
+// steady-state decision allocates nothing under any policy (p2c reuses its
+// scratch candidate slice).
 func TestRoutingDecisionZeroAlloc(t *testing.T) {
 	for _, pol := range Policies() {
 		r, m := routingBench(pol)
-		routingStep(r, m) // build the cached ready set
+		routingStep(r, m) // grow p2c's scratch slice
 		if allocs := testing.AllocsPerRun(1000, func() { routingStep(r, m) }); allocs != 0 {
 			t.Errorf("%v: routing decision allocates %.1f/op, want 0", pol, allocs)
 		}

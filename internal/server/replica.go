@@ -230,31 +230,21 @@ type mail struct {
 	seq     uint64 // posting order; tie-break among equal delivery times
 	rep     *Replica
 	id      uint64
-	// LLM request payload: prompt > 0 marks an autoregressive submit
-	// (SubmitSeq); prefilled marks a disaggregated KV handoff joining
+	// SubmitSeq payload: the sequence lengths (ignored by a classic
+	// replica) and whether this is a disaggregated KV handoff joining
 	// decode directly.
 	prompt, output int
 	prefilled      bool
 }
 
-// PostSubmit queues one request delivery for the replica, to be ingested
-// by the next AdvanceTo. The caller (the cluster's router phase) must post
-// with deliver no earlier than the node's last granted horizon —
-// Schedule clamps past arrivals to the node clock, so mailbox callers
-// clamp to the router's own clock before posting. id 0 means an
-// untracked request (Submit); nonzero a tracked copy (SubmitID).
-func (n *Node) PostSubmit(deliver, arrival sim.Time, r *Replica, id uint64) {
-	n.mailSeq++
-	n.mail = append(n.mail, mail{deliver: deliver, arrival: arrival, seq: n.mailSeq, rep: r, id: id})
-}
-
-// PostSubmitSeq queues one autoregressive request delivery (SubmitSeq)
-// with its prompt/output lengths; prefilled marks a disaggregated KV
-// handoff that joins decode directly. Ordering rules match PostSubmit.
-func (n *Node) PostSubmitSeq(deliver, arrival sim.Time, r *Replica, id uint64, prompt, output int, prefilled bool) {
-	if prompt < 1 {
-		prompt = 1
-	}
+// Post queues one request copy for the replica, to be ingested by the
+// next AdvanceTo as r.SubmitSeq(arrival, id, prompt, output, prefilled) —
+// a classic replica takes that as SubmitID(arrival, id); id 0 is an
+// untracked request. The caller (the cluster's router phase) must post
+// with deliver no earlier than the node's last granted horizon — Schedule
+// clamps past arrivals to the node clock, so mailbox callers clamp to the
+// router's own clock before posting.
+func (n *Node) Post(deliver, arrival sim.Time, r *Replica, id uint64, prompt, output int, prefilled bool) {
 	n.mailSeq++
 	n.mail = append(n.mail, mail{
 		deliver: deliver, arrival: arrival, seq: n.mailSeq, rep: r, id: id,
@@ -276,11 +266,7 @@ func (n *Node) pump() {
 	for n.mailIdx < len(n.mail) && n.mail[n.mailIdx].deliver <= now {
 		m := n.mail[n.mailIdx]
 		n.mailIdx++
-		if m.prompt > 0 {
-			m.rep.SubmitSeq(m.arrival, m.id, m.prompt, m.output, m.prefilled)
-		} else {
-			m.rep.SubmitID(m.arrival, m.id)
-		}
+		m.rep.SubmitSeq(m.arrival, m.id, m.prompt, m.output, m.prefilled)
 	}
 }
 
