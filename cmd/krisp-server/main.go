@@ -46,13 +46,23 @@ func main() {
 		os.Exit(2)
 	}
 
-	var specs []server.WorkerSpec
+	var ms []models.Model
 	for _, name := range strings.Split(*modelList, ",") {
 		m, ok := models.ByName(strings.TrimSpace(name))
 		if !ok {
 			fmt.Fprintf(os.Stderr, "unknown model %q; available: %v\n", name, models.Names())
 			os.Exit(2)
 		}
+		ms = append(ms, m)
+	}
+	run := runFlags{models: ms, workers: *workers, batch: *batch, gpus: *gpus, rate: *rate}
+	if err := run.validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+
+	var specs []server.WorkerSpec
+	for _, m := range ms {
 		for i := 0; i < *workers; i++ {
 			specs = append(specs, server.WorkerSpec{Model: m, Batch: *batch})
 		}
@@ -131,4 +141,36 @@ func main() {
 		}
 		fmt.Printf("\nwrote %d trace events to %s (open in Perfetto)\n", hub.Trace().Len(), *traceOut)
 	}
+}
+
+// runFlags is the serving run as given on the command line.
+type runFlags struct {
+	models               []models.Model
+	workers, batch, gpus int
+	rate                 float64
+}
+
+// validate rejects flags that describe no run. The server would otherwise
+// panic on zero workers, a non-positive batch or an open loop over mixed
+// models, run -gpus 0 on one GPU, and run a negative -rate closed-loop.
+func (f runFlags) validate() error {
+	for _, c := range []struct {
+		flag string
+		v    int
+	}{{"-workers", f.workers}, {"-batch", f.batch}, {"-gpus", f.gpus}} {
+		if c.v < 1 {
+			return fmt.Errorf("bad %s %d: must be at least 1", c.flag, c.v)
+		}
+	}
+	if !(f.rate >= 0) { // also rejects NaN
+		return fmt.Errorf("bad -rate %v: must be >= 0", f.rate)
+	}
+	if f.rate > 0 {
+		for _, m := range f.models[1:] {
+			if m.Name != f.models[0].Name {
+				return fmt.Errorf("bad -model %s,%s with -rate %v: open-loop serving takes one model", f.models[0].Name, m.Name, f.rate)
+			}
+		}
+	}
+	return nil
 }

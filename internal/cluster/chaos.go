@@ -6,7 +6,6 @@ import (
 	"krisp/internal/cluster/gateway"
 	"krisp/internal/cluster/workload"
 	"krisp/internal/faults"
-	"krisp/internal/sim"
 )
 
 // ChaosScenario composes the node-scoped fault kinds into a named
@@ -25,30 +24,6 @@ type ChaosScenario struct {
 // fleet shape (nodes, workloads, duration) is final.
 func (s *ChaosScenario) Apply(cfg *Config) { s.apply(cfg) }
 
-// chaosDuration mirrors New's duration defaulting so scenarios can scale
-// timings before the config is validated.
-func chaosDuration(cfg *Config) sim.Duration {
-	if cfg.Duration > 0 {
-		return cfg.Duration
-	}
-	tick := cfg.Tick
-	if tick <= 0 {
-		tick = 2 * sim.Millisecond
-	}
-	epoch := cfg.Epoch
-	if epoch <= 0 {
-		epoch = 25 * tick
-	}
-	return 6 * epoch
-}
-
-func chaosNodes(cfg *Config) int {
-	if cfg.Nodes >= 1 {
-		return cfg.Nodes
-	}
-	return 3
-}
-
 // ChaosScenarios lists the built-in fleet chaos scenarios.
 func ChaosScenarios() []ChaosScenario {
 	return []ChaosScenario{
@@ -57,9 +32,9 @@ func ChaosScenarios() []ChaosScenario {
 			Description: "all nodes but one gray-fail (stretched CUs + kernel stragglers): " +
 				"alive, accepting, slow — the scenario circuit breakers and deadline admission exist for",
 			apply: func(cfg *Config) {
-				dur := chaosDuration(cfg)
-				at := dur / 10
-				for n := 0; n < chaosNodes(cfg)-1; n++ {
+				shape := defaultShape(*cfg)
+				at := shape.Duration / 10
+				for n := 0; n < shape.Nodes-1; n++ {
 					cfg.NodeFaults = append(cfg.NodeFaults, faults.NodeFault{
 						At: at, Node: n, Kind: faults.NodeGray,
 						Stretch: 5, StragglerProb: 0.3,
@@ -72,8 +47,9 @@ func ChaosScenarios() []ChaosScenario {
 			Description: "one GPU repeatedly degrades and recovers — breakers must open during " +
 				"each episode and close again after it, never writing the replica off for good",
 			apply: func(cfg *Config) {
-				dur := chaosDuration(cfg)
-				node := 1 % chaosNodes(cfg)
+				shape := defaultShape(*cfg)
+				dur := shape.Duration
+				node := 1 % shape.Nodes
 				for at := dur / 6; at < dur; at += dur / 4 {
 					cfg.NodeFaults = append(cfg.NodeFaults, faults.NodeFault{
 						At: at, Node: node, Kind: faults.GPUDegrade, GPU: 0,
@@ -87,8 +63,8 @@ func ChaosScenarios() []ChaosScenario {
 			Description: "half the fleet crashes at once (correlated rack failure); one node " +
 				"returns, the rest stay dark — retries must rescue what the budget allows",
 			apply: func(cfg *Config) {
-				dur := chaosDuration(cfg)
-				n := chaosNodes(cfg)
+				shape := defaultShape(*cfg)
+				dur, n := shape.Duration, shape.Nodes
 				at := dur / 2
 				for node := 0; node < n/2; node++ {
 					nf := faults.NodeFault{At: at, Node: node, Kind: faults.NodeDown}
@@ -104,7 +80,7 @@ func ChaosScenarios() []ChaosScenario {
 			Description: "periodic 3x traffic bursts from a hot low-priority tenant — weighted " +
 				"fair buckets and class reserves must shed the burst, not the premium tenant",
 			apply: func(cfg *Config) {
-				dur := chaosDuration(cfg)
+				dur := defaultShape(*cfg).Duration
 				// Base (pre-burst) offered rate: the global admission cap is
 				// sized against this, not the burst-inflated mean, so bursts
 				// genuinely overrun it.

@@ -91,15 +91,6 @@ type Config struct {
 	// replicas. Zero means 1.2 (20% overprovisioning); values below 1 are
 	// clamped to 1 (no headroom).
 	Headroom float64
-	// OutstandingCap is admission control's per-replica bound on routed
-	// but unfinished requests. Zero means 4 batches worth.
-	OutstandingCap int
-	// QueueCap bounds each model's router-side admission queue. Zero
-	// means 64.
-	QueueCap int
-	// Jitter is per-kernel duration noise on every node (default 0.04;
-	// negative disables).
-	Jitter float64
 	// RecordRouting captures every routing decision into
 	// Result.RoutingLog — the determinism tests compare these byte for
 	// byte across repeated runs and against the lockstep oracle.
@@ -283,24 +274,15 @@ type admission struct {
 	admitted bool
 }
 
-// New validates the configuration and builds the fleet: planner, nodes
-// (with node-local fault plans lowered from GPUDegrade entries), router,
-// and autoscaler. No virtual time passes until Run.
-func New(cfg Config) *Fleet {
-	if len(cfg.Workloads) == 0 {
-		panic("cluster: no workloads")
-	}
+// defaultShape fills the fleet's zero shape and timing fields: 3 nodes of
+// 2 GPUs, a 2ms tick, a 25-tick epoch and a 6-epoch run. New and the chaos
+// scenarios, which scale their fault times to the run, share it.
+func defaultShape(cfg Config) Config {
 	if cfg.Nodes < 1 {
 		cfg.Nodes = 3
 	}
 	if cfg.GPUsPerNode < 1 {
 		cfg.GPUsPerNode = 2
-	}
-	if cfg.Spec.Topo.TotalCUs() == 0 {
-		cfg.Spec = gpu.MI50Spec()
-	}
-	if cfg.HSA.PacketProcessTime == 0 {
-		cfg.HSA = hsa.DefaultConfig()
 	}
 	if cfg.Tick <= 0 {
 		cfg.Tick = 2 * sim.Millisecond
@@ -311,11 +293,25 @@ func New(cfg Config) *Fleet {
 	if cfg.Duration <= 0 {
 		cfg.Duration = 6 * cfg.Epoch
 	}
+	return cfg
+}
+
+// New validates the configuration and builds the fleet: planner, nodes
+// (with node-local fault plans lowered from GPUDegrade entries), router,
+// and autoscaler. No virtual time passes until Run.
+func New(cfg Config) *Fleet {
+	if len(cfg.Workloads) == 0 {
+		panic("cluster: no workloads")
+	}
+	cfg = defaultShape(cfg)
+	if cfg.Spec.Topo.TotalCUs() == 0 {
+		cfg.Spec = gpu.MI50Spec()
+	}
+	if cfg.HSA.PacketProcessTime == 0 {
+		cfg.HSA = hsa.DefaultConfig()
+	}
 	if cfg.Costs == (reconfig.Costs{}) {
 		cfg.Costs = reconfig.DefaultCosts()
-	}
-	if cfg.QueueCap <= 0 {
-		cfg.QueueCap = 64
 	}
 	if cfg.Headroom == 0 {
 		cfg.Headroom = 1.2
@@ -342,14 +338,13 @@ func New(cfg Config) *Fleet {
 			panic(fmt.Sprintf("cluster: workload %s has no rate generator", cfg.Workloads[i].Model.Name))
 		}
 	}
-	if cfg.OutstandingCap <= 0 {
-		maxBatch := 0
-		for _, w := range cfg.Workloads {
-			if w.Batch > maxBatch {
-				maxBatch = w.Batch
-			}
+	// Admission control bounds each replica's routed-but-unfinished
+	// requests at 4 batches of the largest workload.
+	maxBatch := 0
+	for _, w := range cfg.Workloads {
+		if w.Batch > maxBatch {
+			maxBatch = w.Batch
 		}
-		cfg.OutstandingCap = 4 * maxBatch
 	}
 
 	planner := sched.NewPlanner(profile.Config{
@@ -368,7 +363,7 @@ func New(cfg Config) *Fleet {
 		tel:     tel,
 		obs:     newFleetObserver(cfg.Obs, cfg.Telemetry, names, len(cfg.Tenants), cfg.Tick),
 		res:     &Result{Policy: cfg.Policy, Duration: cfg.Duration},
-		router:  newRouter(cfg.Policy, cfg.Seed, cfg.OutstandingCap, cfg.QueueCap, tel, cfg.RecordRouting),
+		router:  newRouter(cfg.Policy, cfg.Seed, 4*maxBatch, modelQueueCap, tel, cfg.RecordRouting),
 		scaler: &autoscaler{
 			placer:   &placer{planner: planner},
 			epoch:    cfg.Epoch,
@@ -381,7 +376,6 @@ func New(cfg Config) *Fleet {
 	// per-phase sizing profile and auto-size their SLO from the expected
 	// full-sequence latency (one prefill plus mean-output decode steps)
 	// instead of one fixed-batch pass.
-	pre, post := sim.Duration(150), sim.Duration(80)
 	for i, w := range cfg.Workloads {
 		var lm *llmModelState
 		if w.LLM != nil {
@@ -397,9 +391,9 @@ func New(cfg Config) *Fleet {
 		if slo <= 0 {
 			if lm != nil {
 				seqUs := lm.sizing.PrefillLatency + sim.Duration(lm.meanOutput)*lm.sizing.DecodeStepLatency
-				slo = 2*seqUs + pre + post
+				slo = 2*seqUs + server.PreprocessUs + server.PostprocessUs
 			} else {
-				slo = 2*planner.SLOLatency(w.Model, w.Batch) + pre + post
+				slo = 2*planner.SLOLatency(w.Model, w.Batch) + server.PreprocessUs + server.PostprocessUs
 			}
 		}
 		f.router.models = append(f.router.models, &modelState{
@@ -447,7 +441,6 @@ func New(cfg Config) *Fleet {
 				GPUs:      cfg.GPUsPerNode,
 				Index:     i,
 				Seed:      cfg.Seed + int64(i)*31337 + 7,
-				Jitter:    cfg.Jitter,
 				Telemetry: cfg.Telemetry,
 				Faults:    plan,
 			}),

@@ -15,24 +15,18 @@ type Budget struct {
 	burst  float64
 	tokens float64
 
-	primaries uint64
-	taken     uint64
-	denied    uint64
+	denied uint64
 }
 
 // NewBudget builds a budget. ratio <= 0 disables secondaries entirely;
-// burst <= 0 defaults to 16 (the slack that lets hedging start before many
-// primaries have been credited).
+// burst is the slack that lets hedging start before many primaries have
+// been credited.
 func NewBudget(ratio, burst float64) Budget {
-	if burst <= 0 {
-		burst = 16
-	}
 	return Budget{ratio: ratio, burst: burst, tokens: burst}
 }
 
 // Credit banks the budget earned by one primary send.
 func (b *Budget) Credit() {
-	b.primaries++
 	if b.ratio <= 0 {
 		return
 	}
@@ -50,7 +44,6 @@ func (b *Budget) Take() bool {
 		return false
 	}
 	b.tokens--
-	b.taken++
 	return true
 }
 
@@ -64,13 +57,7 @@ func (b *Budget) Refund() {
 	if b.tokens > b.burst {
 		b.tokens = b.burst
 	}
-	if b.taken > 0 {
-		b.taken--
-	}
 }
 
-// Taken returns how many secondary sends the budget has granted (net of
-// refunds); Denied how many it refused; Primaries how many credits it saw.
-func (b *Budget) Taken() uint64     { return b.taken }
-func (b *Budget) Denied() uint64    { return b.denied }
-func (b *Budget) Primaries() uint64 { return b.primaries }
+// Denied returns how many secondary sends the budget refused.
+func (b *Budget) Denied() uint64 { return b.denied }

@@ -108,17 +108,12 @@ type Tenant struct {
 	// ID is the tenant's stable identity (arbitrary, need not be dense).
 	ID int
 	// Weight is the tenant's share of the global admission rate; its token
-	// bucket refills at GlobalRatePerSec * Weight/sumWeights *
-	// OverSubscription. Zero means 1.
+	// bucket refills at twice GlobalRatePerSec * Weight/sumWeights and
+	// holds 100ms of that rate (minimum 8). Zero means 1.
 	Weight float64
 	// Class is the tenant's priority class, 0 = highest. Under overload,
 	// lower classes (higher numbers) are shed first.
 	Class int
-	// RatePerSec, when positive, overrides the weight-derived bucket rate.
-	RatePerSec float64
-	// Burst, when positive, overrides the bucket depth (default: 100ms of
-	// the tenant rate, minimum 8).
-	Burst float64
 }
 
 // ModelSLO names one served model and its per-request latency SLO.
@@ -141,25 +136,13 @@ type Config struct {
 	// GlobalBurst is the global bucket depth; zero means 100ms of the
 	// global rate (minimum 16).
 	GlobalBurst float64
-	// OverSubscription scales each tenant's weight-derived bucket rate
-	// above its exact fair share, so spare capacity is usable while hard
-	// isolation still kicks in at OverSubscription x fair share. Zero
-	// means 2.
-	OverSubscription float64
 
-	// HedgeDelayFactor scales the P95-derived hedge delay. Zero means 1.
-	HedgeDelayFactor float64
 	// HedgeMinDelay floors the hedge delay (a cold P95 window must not
 	// cause hedges on every request). Zero means 500us.
 	HedgeMinDelay sim.Duration
-	// Budget is the retry+hedge budget as a ratio of primary sends. Zero
-	// means 0.1; negative disables all secondary traffic.
+	// Budget is the retry+hedge budget as a ratio of primary sends, banked
+	// up to 16. Zero means 0.1; negative disables all secondary traffic.
 	Budget float64
-	// BudgetBurst is the budget bank's depth. Zero means 16.
-	BudgetBurst float64
-
-	// Breaker tunes the per-replica circuit breakers.
-	Breaker BreakerConfig
 
 	// DisableHedging, DisableRetry, DisableDeadline, and DisableBreakers
 	// switch off the corresponding mechanism (for ablations and the
@@ -171,19 +154,18 @@ type Config struct {
 }
 
 // RateLimited reports whether the configuration can ever shed on rate
-// (some bucket is finite). When false, admission order cannot matter and
+// (the buckets are finite). When false, admission order cannot matter and
 // the fleet skips the priority sort entirely.
-func (c *Config) RateLimited() bool {
-	if c.GlobalRatePerSec > 0 {
-		return true
-	}
-	for _, t := range c.Tenants {
-		if t.RatePerSec > 0 {
-			return true
-		}
-	}
-	return false
-}
+func (c *Config) RateLimited() bool { return c.GlobalRatePerSec > 0 }
+
+const (
+	// overSubscription scales each tenant's weight-derived bucket rate
+	// above its exact fair share, so spare capacity is usable while hard
+	// isolation still kicks in at twice the fair share.
+	overSubscription = 2
+	// budgetBurst is the retry/hedge budget bank's depth.
+	budgetBurst = 16
+)
 
 // TenantStats is one tenant's admission outcome.
 type TenantStats struct {
@@ -326,12 +308,6 @@ func New(cfg Config, models []ModelSLO, fabric Fabric, reg *telemetry.Registry) 
 	if len(cfg.Tenants) == 0 {
 		cfg.Tenants = []Tenant{{ID: 0, Weight: 1}}
 	}
-	if cfg.OverSubscription <= 0 {
-		cfg.OverSubscription = 2
-	}
-	if cfg.HedgeDelayFactor <= 0 {
-		cfg.HedgeDelayFactor = 1
-	}
 	if cfg.HedgeMinDelay <= 0 {
 		cfg.HedgeMinDelay = 500 * sim.Microsecond
 	}
@@ -348,7 +324,7 @@ func New(cfg Config, models []ModelSLO, fabric Fabric, reg *telemetry.Registry) 
 		byTenant: make(map[int]int, len(cfg.Tenants)),
 		breakers: make(map[int]*Breaker),
 		byID:     make(map[uint64]*track),
-		budget:   NewBudget(cfg.Budget, cfg.BudgetBurst),
+		budget:   NewBudget(cfg.Budget, budgetBurst),
 	}
 	for _, m := range models {
 		g.models = append(g.models, modelState{name: m.Name, sloUs: m.SLOUs})
@@ -378,16 +354,11 @@ func New(cfg Config, models []ModelSLO, fabric Fabric, reg *telemetry.Registry) 
 		g.global = NewTokenBucket(cfg.GlobalRatePerSec, burst)
 	}
 	for i, t := range cfg.Tenants {
-		rate := t.RatePerSec
-		if rate <= 0 && cfg.GlobalRatePerSec > 0 {
-			rate = cfg.GlobalRatePerSec * t.Weight / sumW * cfg.OverSubscription
-		}
-		burst := t.Burst
-		if burst <= 0 {
-			burst = rate * 0.1
-			if burst < 8 {
-				burst = 8
-			}
+		// A zero rate (no global rate) leaves the bucket unlimited.
+		rate := cfg.GlobalRatePerSec * t.Weight / sumW * overSubscription
+		burst := rate * 0.1
+		if burst < 8 {
+			burst = 8
 		}
 		g.tenants = append(g.tenants, tenantState{
 			idx:    i,
@@ -495,7 +466,7 @@ func (g *Gateway) AddReplica(replica int) *Breaker {
 	if g.cfg.DisableBreakers {
 		return nil
 	}
-	b := NewBreaker(g.cfg.Breaker)
+	b := NewBreaker(BreakerConfig{})
 	b.onTransition = func(_, to BreakerState) {
 		switch to {
 		case BreakerOpen:
@@ -545,14 +516,14 @@ func (g *Gateway) OnPrimarySend(id uint64, model, tenantIdx, replica int, arriva
 }
 
 // HedgeDelay returns the model's current hedge trigger: the windowed P95
-// of winning end-to-end latencies scaled by HedgeDelayFactor, floored at
-// HedgeMinDelay. A cold window uses half the SLO.
+// of winning end-to-end latencies, floored at HedgeMinDelay. A cold window
+// uses half the SLO.
 func (g *Gateway) HedgeDelay(model int) sim.Duration {
 	p95 := g.models[model].lat.P95()
 	if g.models[model].lat.Len() == 0 {
 		p95 = g.models[model].sloUs / 2
 	}
-	d := sim.Duration(g.cfg.HedgeDelayFactor * p95)
+	d := sim.Duration(p95)
 	if d < g.cfg.HedgeMinDelay {
 		d = g.cfg.HedgeMinDelay
 	}
@@ -731,18 +702,6 @@ func (g *Gateway) compact() {
 	g.resolved = 0
 }
 
-// Unresolved returns how many admitted-and-sent requests have neither
-// completed nor failed (in flight at the horizon).
-func (g *Gateway) Unresolved() int {
-	n := 0
-	for _, t := range g.inflight {
-		if !t.resolved {
-			n++
-		}
-	}
-	return n
-}
-
 // BudgetDenied returns how many secondary sends the budget refused.
 func (g *Gateway) BudgetDenied() uint64 { return g.budget.Denied() }
 
@@ -759,16 +718,6 @@ func (g *Gateway) Snapshot() *Stats {
 		s.Tenants[i] = g.tenants[i].stats
 	}
 	return &s
-}
-
-// BreakerStates summarizes the live breakers as "closed/open/half-open"
-// counts, in that order.
-func (g *Gateway) BreakerStates() [3]int {
-	var out [3]int
-	for _, b := range g.breakers {
-		out[b.State()]++
-	}
-	return out
 }
 
 // String renders a one-line summary (CLI exit tables).

@@ -204,6 +204,64 @@ func TestBudgetInvariant(t *testing.T) {
 	}
 }
 
+// TestTenantBuckets pins each tenant's bucket: it refills at twice the
+// tenant's weighted share of the global rate and holds 100ms of that
+// rate, at least 8 tokens. Without a global rate every bucket is
+// unlimited.
+func TestTenantBuckets(t *testing.T) {
+	for _, tc := range []struct {
+		global        float64
+		weights       []float64
+		rates, bursts []float64
+	}{
+		{1000, []float64{1, 3}, []float64{500, 1500}, []float64{50, 150}},
+		{40, []float64{1, 1}, []float64{40, 40}, []float64{8, 8}},
+		{0, []float64{1, 3}, []float64{0, 0}, []float64{8, 8}},
+	} {
+		cfg := Config{GlobalRatePerSec: tc.global}
+		for i, w := range tc.weights {
+			cfg.Tenants = append(cfg.Tenants, Tenant{ID: i, Weight: w})
+		}
+		if got, want := cfg.RateLimited(), tc.global > 0; got != want {
+			t.Errorf("global %v: RateLimited = %v, want %v", tc.global, got, want)
+		}
+		g := New(cfg, testModels(), &fakeFabric{}, nil)
+		for i := range tc.weights {
+			b := &g.tenants[i].bucket
+			if b.rate != tc.rates[i] || b.burst != tc.bursts[i] {
+				t.Errorf("global %v, tenant %d: rate %v burst %v, want %v and %v",
+					tc.global, i, b.rate, b.burst, tc.rates[i], tc.bursts[i])
+			}
+			if tc.global > 0 {
+				continue
+			}
+			for n := 0; n < 1000; n++ {
+				if !b.Take(1) {
+					t.Fatalf("tenant %d: unlimited bucket refused take %d", i, n)
+				}
+			}
+		}
+	}
+}
+
+// TestRetryBudgetDepth pins the retry/hedge budget bank at 16: a fresh
+// gateway grants 16 secondaries before any primary is credited, then
+// denies.
+func TestRetryBudgetDepth(t *testing.T) {
+	g := New(Config{}, testModels(), &fakeFabric{}, nil)
+	if got := g.Snapshot().BudgetBurst; got != 16 {
+		t.Fatalf("budget depth %v, want 16", got)
+	}
+	for i := 0; i < 16; i++ {
+		if !g.budget.Take() {
+			t.Fatalf("take %d denied from a full 16-deep bank", i)
+		}
+	}
+	if g.budget.Take() {
+		t.Fatal("take 17 granted from a 16-deep bank")
+	}
+}
+
 func TestAdmitVerdicts(t *testing.T) {
 	fab := &fakeFabric{picks: []int{1}, bestUs: 1000}
 	g := New(Config{

@@ -34,23 +34,19 @@ type LLMWorkload struct {
 	// KVBudget caps each replica's KV-cache bytes. Zero means the device's
 	// HBM capacity is the only limit.
 	KVBudget float64
-	// HandoffBytesPerUs is the KV-transfer bandwidth between prefill and
-	// decode replicas. Zero means 25e3 bytes/us (a 25 GB/s interconnect).
-	HandoffBytesPerUs float64
-	// HandoffLatencyUs is the fixed per-handoff latency. Zero means 100us.
-	HandoffLatencyUs sim.Duration
 }
+
+// A disaggregated KV handoff costs a fixed latency plus the prompt's KV
+// bytes over a 25 GB/s prefill-to-decode interconnect.
+const (
+	handoffLatencyUs  sim.Duration = 100
+	handoffBytesPerUs              = 25e3
+)
 
 // normalizeLLM applies the workload's defaults.
 func normalizeLLM(w LLMWorkload) LLMWorkload {
 	if w.MaxSeqs < 1 {
 		w.MaxSeqs = 8
-	}
-	if w.HandoffBytesPerUs <= 0 {
-		w.HandoffBytesPerUs = 25e3
-	}
-	if w.HandoffLatencyUs <= 0 {
-		w.HandoffLatencyUs = 100
 	}
 	return w
 }
@@ -88,7 +84,7 @@ type llmModelState struct {
 // queueHandoff books one finished prefill's KV transfer.
 func (lm *llmModelState) queueHandoff(c server.Completion, tenant int) {
 	bytes := float64(c.Prompt) * lm.kvPerToken
-	dur := lm.spec.HandoffLatencyUs + sim.Duration(bytes/lm.spec.HandoffBytesPerUs)
+	dur := handoffLatencyUs + sim.Duration(bytes/handoffBytesPerUs)
 	lm.handoffCount++
 	lm.handoffUs += dur
 	lm.handoffs = append(lm.handoffs, handoff{

@@ -7,6 +7,7 @@ import (
 	"krisp/internal/cluster/workload"
 	"krisp/internal/llm"
 	"krisp/internal/models"
+	"krisp/internal/server"
 	"krisp/internal/sim"
 	"krisp/internal/telemetry"
 )
@@ -106,6 +107,31 @@ func TestLLMDisaggregatedHandoffs(t *testing.T) {
 // per GPU and the decode tier starves. Per-phase sizing packs decode
 // replicas at their ~8-CU knee — several per GPU — so the same demand
 // fits and goodput is strictly higher.
+// TestQueueHandoffCost pins the disaggregated KV handoff bill: 100us plus
+// the prompt's KV bytes at 25 GB/s, due that long after the prefill ends
+// and added to the model's cumulative handoff time.
+func TestQueueHandoffCost(t *testing.T) {
+	kv := llm.Small().KVBytesPerToken()
+	lm := &llmModelState{kvPerToken: kv}
+	var wantUs sim.Duration
+	for i, c := range []server.Completion{
+		{ID: 1, Arrival: 10, End: 5000, Prompt: 128, Output: 32},
+		{ID: 2, Arrival: 20, End: 7000, Prompt: 1, Output: 4},
+	} {
+		lm.queueHandoff(c, i)
+		dur := 100 + float64(c.Prompt)*kv/25e3
+		wantUs += dur
+		h := lm.handoffs[i]
+		if want := (handoff{due: c.End + dur, arrival: c.Arrival, id: c.ID,
+			prompt: c.Prompt, output: c.Output, tenant: i}); h != want {
+			t.Fatalf("handoff %d = %+v, want %+v", i, h, want)
+		}
+	}
+	if lm.handoffCount != 2 || lm.handoffUs != wantUs {
+		t.Fatalf("bill = %d handoffs, %v us; want 2, %v us", lm.handoffCount, lm.handoffUs, wantUs)
+	}
+}
+
 func TestLLMPerPhaseBeatsShared(t *testing.T) {
 	run := func(perPhase bool) *Result {
 		cfg := Config{

@@ -177,6 +177,10 @@ type router struct {
 	seq int
 }
 
+// modelQueueCap bounds each model's router-side admission queue in a
+// fleet; router tests build shallower queues through newRouter.
+const modelQueueCap = 64
+
 func newRouter(policy Policy, seed int64, outstandingCap, queueCap int, tel *fleetTelemetry, record bool) *router {
 	r := &router{
 		policy:         policy,

@@ -250,13 +250,6 @@ func NewDevice(eng *sim.Engine, spec DeviceSpec, meter Meter) *Device {
 	}
 }
 
-// SetKVCapacity overrides the device's KV-cache budget in bytes (the spec
-// HBM size minus resident weights, or a deliberately tight test budget).
-// Non-positive disables the ledger. Lowering the budget below the bytes
-// already in use is allowed: existing sequences keep their reservations
-// and new ones are refused until usage drains below the new cap.
-func (d *Device) SetKVCapacity(bytes float64) { d.kvCapacity = bytes }
-
 // KVCapacity returns the KV budget in bytes (<= 0: unenforced).
 func (d *Device) KVCapacity() float64 { return d.kvCapacity }
 

@@ -260,9 +260,6 @@ type CommandProcessor struct {
 // SetFaults installs (or clears, with nil) the fault-injection hook.
 func (cp *CommandProcessor) SetFaults(f FaultHook) { cp.faults = f }
 
-// NumQueues returns the number of queues created on this processor.
-func (cp *CommandProcessor) NumQueues() int { return len(cp.queues) }
-
 // Queue returns the i-th queue in creation order, or nil when out of range.
 func (cp *CommandProcessor) Queue(i int) *Queue {
 	if i < 0 || i >= len(cp.queues) {
@@ -604,10 +601,6 @@ func (q *Queue) StallFor(d sim.Duration) {
 
 // Stalled reports whether the packet processor is currently frozen.
 func (q *Queue) Stalled() bool { return q.cp.eng.Now() < q.stalledUntil }
-
-// StalledUntil returns the time the current stall expires (zero when the
-// queue has never stalled).
-func (q *Queue) StalledUntil() sim.Time { return q.stalledUntil }
 
 // ResetStall clears an active stall immediately — the driver-level queue
 // reset a watchdog performs on a hung packet processor — and restarts the

@@ -95,10 +95,11 @@ type Request struct {
 	FromCUs int
 	ToCUs   int
 	Costs   Costs
-	// SettleBatches is how many batches to serve before requesting the
-	// resize (reaching steady state). Zero means 3.
-	SettleBatches int
 }
+
+// settleBatches is how many batches a resize experiment serves before
+// requesting the resize (reaching steady state).
+const settleBatches = 3
 
 // Result reports the resize behaviour.
 type Result struct {
@@ -128,9 +129,6 @@ func Simulate(scheme Scheme, req Request) Result {
 	if req.Batch < 1 {
 		req.Batch = models.CalibrationBatch
 	}
-	if req.SettleBatches < 1 {
-		req.SettleBatches = 3
-	}
 	if req.Costs == (Costs{}) {
 		req.Costs = DefaultCosts()
 	}
@@ -147,7 +145,7 @@ func Simulate(scheme Scheme, req Request) Result {
 		descs:  req.Model.Kernels(req.Batch),
 		scheme: scheme,
 		costs:  req.Costs,
-		settle: req.SettleBatches,
+		settle: settleBatches,
 		from:   req.FromCUs,
 		to:     req.ToCUs,
 		res:    Result{Scheme: scheme, RequestAt: -1, EffectAt: -1},

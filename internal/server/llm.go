@@ -55,13 +55,16 @@ type LLMSpec struct {
 	// KVBudget caps this replica's KV-cache bytes on its device. Zero means
 	// only the device's own HBM capacity limits it.
 	KVBudget float64
-	// StepOverheadUs is the CPU-side scheduling cost paid before each token
-	// step (batch assembly, paging). Zero means 20us.
-	StepOverheadUs sim.Duration
-	// RetryUs is the re-admission backoff when the replica is idle but its
-	// queue head cannot reserve KV space. Zero means 50us.
-	RetryUs sim.Duration
 }
+
+const (
+	// llmStepOverheadUs is the CPU-side scheduling cost paid before each
+	// token step (batch assembly, paging).
+	llmStepOverheadUs sim.Duration = 20
+	// llmRetryUs is the re-admission backoff when the replica is idle but
+	// its queue head cannot reserve KV space.
+	llmRetryUs sim.Duration = 50
+)
 
 // llmSeq is one resident sequence in the continuous batch.
 type llmSeq struct {
@@ -247,12 +250,12 @@ func (r *Replica) llmMaybeStep() {
 	if len(e.active) == 0 {
 		if len(r.queue) > 0 && !e.retryPending {
 			e.retryPending = true
-			r.node.eng.After(e.spec.RetryUs, e.retryFn)
+			r.node.eng.After(llmRetryUs, e.retryFn)
 		}
 		return
 	}
 	r.busy = true
-	r.node.eng.After(e.spec.StepOverheadUs, e.kickFn)
+	r.node.eng.After(llmStepOverheadUs, e.kickFn)
 }
 
 // llmRetry re-attempts admission after a KV-blocked idle period.

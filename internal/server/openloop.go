@@ -15,9 +15,6 @@ import (
 type Arrival struct {
 	// RatePerSec is the aggregate request arrival rate.
 	RatePerSec float64
-	// MaxBatch is the largest batch a worker will form. Zero means the
-	// workers' configured batch size.
-	MaxBatch int
 	// Timeout bounds how long the first queued request waits for
 	// companions before a partial batch is dispatched. Zero means 500us.
 	Timeout sim.Duration
@@ -37,8 +34,8 @@ type OpenLoopResult struct {
 }
 
 // RunOpenLoop executes a serving experiment under Poisson arrivals. The
-// Workers' Model must be identical (one service endpoint); their Batch
-// field sets the maximum batch size unless arrival.MaxBatch overrides it.
+// Workers' Model must be identical (one service endpoint); the first
+// worker's Batch sets the maximum batch size.
 func RunOpenLoop(cfg Config, arrival Arrival) OpenLoopResult {
 	out, _ := runOpenLoop(cfg, arrival)
 	return out
@@ -58,14 +55,11 @@ func runOpenLoop(cfg Config, arrival Arrival) (OpenLoopResult, *openLoop) {
 	if arrival.RatePerSec <= 0 {
 		panic("server: non-positive arrival rate")
 	}
-	if arrival.MaxBatch == 0 {
-		arrival.MaxBatch = cfg.Workers[0].Batch
-	}
 	if arrival.Timeout == 0 {
 		arrival.Timeout = 500
 	}
 
-	ol := &openLoop{arrival: arrival}
+	ol := &openLoop{arrival: arrival, maxBatch: cfg.Workers[0].Batch}
 	res := serve(cfg, ol)
 
 	out := OpenLoopResult{
@@ -83,9 +77,10 @@ func runOpenLoop(cfg Config, arrival Arrival) (OpenLoopResult, *openLoop) {
 // openLoop is the open-loop arrival driver: a shared Poisson request queue
 // that forms dynamic batches and hands each to an idle replica.
 type openLoop struct {
-	arrival Arrival
-	rng     *rand.Rand
-	eng     *sim.Engine
+	arrival  Arrival
+	maxBatch int // largest batch a replica is handed
+	rng      *rand.Rand
+	eng      *sim.Engine
 
 	queue   []sim.Time // arrival timestamps of waiting requests
 	waiting []*Replica // idle replicas parked until work arrives
@@ -132,7 +127,7 @@ func (ol *openLoop) scheduleNext() {
 func (ol *openLoop) dispatch() {
 	for len(ol.waiting) > 0 && len(ol.queue) > 0 {
 		deadline := ol.queue[0] + ol.arrival.Timeout
-		if len(ol.queue) < ol.arrival.MaxBatch && ol.eng.Now() < deadline {
+		if len(ol.queue) < ol.maxBatch && ol.eng.Now() < deadline {
 			// Heads only get younger, so a pending timer is never later
 			// than this deadline; when it fires early, dispatch re-arms.
 			if !ol.flushArmed {
@@ -157,8 +152,8 @@ func (ol *openLoop) wake() {
 	r := ol.waiting[0]
 	ol.waiting = ol.waiting[1:]
 	n := len(ol.queue)
-	if n > ol.arrival.MaxBatch {
-		n = ol.arrival.MaxBatch
+	if n > ol.maxBatch {
+		n = ol.maxBatch
 	}
 	now := ol.eng.Now()
 	for _, at := range ol.queue[:n] {

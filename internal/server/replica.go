@@ -28,15 +28,10 @@ type NodeConfig struct {
 	// Index is the node's fleet-wide id; it namespaces telemetry labels so
 	// devices of different nodes do not collapse into one metric series.
 	Index int
-	// Power is the per-GPU energy model; zero means energy.MI50Power.
-	Power energy.Model
 	// Seed drives per-replica latency jitter; replicas derive their RNG
 	// from it and their creation order, so a node's behaviour depends only
 	// on (Seed, submission sequence), never on wall-clock scheduling.
 	Seed int64
-	// PreprocessUs/PostprocessUs are the CPU-side batch costs.
-	// Zero means the server defaults (150us / 80us).
-	PreprocessUs, PostprocessUs sim.Duration
 	// Jitter is the relative per-kernel duration noise (default 0.04;
 	// negative disables).
 	Jitter float64
@@ -140,17 +135,8 @@ func (cfg *NodeConfig) setDefaults() {
 	if cfg.HSA.PacketProcessTime == 0 {
 		cfg.HSA = hsa.DefaultConfig()
 	}
-	if cfg.Power.IdleW == 0 && cfg.Power.PerCUW == 0 {
-		cfg.Power = energy.MI50Power()
-	}
 	if cfg.GPUs < 1 {
 		cfg.GPUs = 1
-	}
-	if cfg.PreprocessUs == 0 {
-		cfg.PreprocessUs = 150
-	}
-	if cfg.PostprocessUs == 0 {
-		cfg.PostprocessUs = 80
 	}
 	switch {
 	case cfg.Jitter == 0:
@@ -167,7 +153,7 @@ func newNode(cfg NodeConfig, hsaCfg hsa.Config) *Node {
 	n := &Node{cfg: cfg, eng: sim.New()}
 	n.gpus = make([]gpuStack, cfg.GPUs)
 	for g := range n.gpus {
-		meter := energy.NewMeter(cfg.Power)
+		meter := energy.NewMeter(energy.MI50Power())
 		dev := gpu.NewDevice(n.eng, cfg.Spec, meter)
 		cp := hsa.NewCommandProcessor(n.eng, dev, hsaCfg)
 		// The telemetry constructors return nil on a nil hub, so this
@@ -330,15 +316,6 @@ func (n *Node) EnergyJ() float64 {
 	return total
 }
 
-// FaultStats returns the node-local fault/reaction counters, or nil when
-// no fault plan is armed.
-func (n *Node) FaultStats() *faults.Stats {
-	if n.inj == nil {
-		return nil
-	}
-	return &n.inj.Stats
-}
-
 // ReplicaSpec describes one model replica: a gpulet bound to a device with
 // a fixed CU budget, served through a kernel-scoped partition instance (so
 // resizing it later is free — the next kernel simply uses the new size).
@@ -471,12 +448,6 @@ func (n *Node) AddReplica(spec ReplicaSpec) *Replica {
 		l := *spec.LLM
 		if l.MaxSeqs < 1 {
 			l.MaxSeqs = 8
-		}
-		if l.StepOverheadUs <= 0 {
-			l.StepOverheadUs = 20
-		}
-		if l.RetryUs <= 0 {
-			l.RetryUs = 50
 		}
 		spec.LLM = &l
 		spec.Batch = l.MaxSeqs
@@ -785,7 +756,7 @@ func (r *Replica) maybeStart() {
 	if s := r.slot; s != nil && s.st.chaos != nil {
 		s.wd = s.st.chaos.armWatchdog(r.rt)
 	}
-	r.node.eng.After(r.node.cfg.PreprocessUs, r.preFn)
+	r.node.eng.After(PreprocessUs, r.preFn)
 }
 
 // preDone fires when pre-processing completes: submit the latched batch's
@@ -799,7 +770,7 @@ func (r *Replica) preDone() {
 // seqDone fires when the last kernel completes: pay post-processing.
 func (r *Replica) seqDone() {
 	r.curKernEnd = r.node.eng.Now()
-	r.node.eng.After(r.node.cfg.PostprocessUs, r.postFn)
+	r.node.eng.After(PostprocessUs, r.postFn)
 }
 
 // postDone closes out the batch, records completions, and starts the next

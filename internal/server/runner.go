@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"krisp/internal/core"
-	"krisp/internal/energy"
 	"krisp/internal/gpu"
 	"krisp/internal/hsa"
 	"krisp/internal/policies"
@@ -14,14 +13,13 @@ import (
 // runShape fingerprints everything baked into a pooled run context at
 // construction time and not reset between runs: the device spec a Device
 // is sized for, the HSA cost model a command processor is configured with,
-// the power model inside each meter, and the stack fan-out. Two configs
-// with equal shapes can share a context; anything else (seeds, windows,
-// policies, jitter, faults) is per-run state the reuse path reapplies.
+// and the stack fan-out. Two configs with equal shapes can share a
+// context; anything else (seeds, windows, policies, jitter, faults) is
+// per-run state the reuse path reapplies.
 type runShape struct {
-	spec  gpu.DeviceSpec
-	hsa   hsa.Config
-	power energy.Model
-	gpus  int
+	spec gpu.DeviceSpec
+	hsa  hsa.Config
+	gpus int
 }
 
 // runState is the reusable context behind Run: a Node whose replicas serve
@@ -71,7 +69,7 @@ var runPool statePool = &sync.Pool{}
 // never pooled — their stack wiring holds per-hub handles — so they build
 // fresh and are discarded on release.
 func acquireRun(nc NodeConfig, hsaCfg hsa.Config) *runState {
-	shape := runShape{spec: nc.Spec, hsa: hsaCfg, power: nc.Power, gpus: nc.GPUs}
+	shape := runShape{spec: nc.Spec, hsa: hsaCfg, gpus: nc.GPUs}
 	poolable := nc.Telemetry == nil
 	if poolable {
 		if v := runPool.Get(); v != nil {

@@ -38,6 +38,13 @@ type WorkerSpec struct {
 	Batch int
 }
 
+// PreprocessUs and PostprocessUs are the CPU-side costs a replica pays
+// before and after each batch's kernels.
+const (
+	PreprocessUs  sim.Duration = 150
+	PostprocessUs sim.Duration = 80
+)
+
 // Config describes one serving experiment.
 type Config struct {
 	// Spec is the simulated device; zero value means MI50.
@@ -60,8 +67,6 @@ type Config struct {
 	// batch)); workers missing from the map are profiled on the fly. Grid
 	// harnesses share one profiling pass across cells this way.
 	RightSizes map[string]int
-	// Power is the energy model; zero value means energy.MI50Power.
-	Power energy.Model
 	// Seed drives the per-worker latency jitter.
 	Seed int64
 	// Warmup and Measure bound the experiment in virtual time; zero means
@@ -70,9 +75,6 @@ type Config struct {
 	// MeasureScale scales the auto-sized measurement window (default 1.0;
 	// smoke runs use a fraction). Ignored when Measure is set explicitly.
 	MeasureScale float64
-	// PreprocessUs/PostprocessUs are the CPU-side batch costs.
-	// Zero means the defaults (150us / 80us).
-	PreprocessUs, PostprocessUs sim.Duration
 	// Jitter is the relative amplitude of per-kernel duration noise
 	// (default 0.04). Set negative to disable.
 	Jitter float64
@@ -193,15 +195,12 @@ func serve(cfg Config, ol *openLoop) Result {
 		panic("server: no workers")
 	}
 	nc := NodeConfig{
-		Spec:          cfg.Spec,
-		HSA:           cfg.HSA,
-		GPUs:          cfg.GPUs,
-		Power:         cfg.Power,
-		Seed:          cfg.Seed,
-		PreprocessUs:  cfg.PreprocessUs,
-		PostprocessUs: cfg.PostprocessUs,
-		Jitter:        cfg.Jitter,
-		Telemetry:     cfg.Telemetry,
+		Spec:      cfg.Spec,
+		HSA:       cfg.HSA,
+		GPUs:      cfg.GPUs,
+		Seed:      cfg.Seed,
+		Jitter:    cfg.Jitter,
+		Telemetry: cfg.Telemetry,
 	}
 	nc.setDefaults()
 	topo := nc.Spec.Topo
@@ -229,7 +228,7 @@ func serve(cfg Config, ol *openLoop) Result {
 				slowest = l
 			}
 		}
-		slowest += nc.PreprocessUs + nc.PostprocessUs
+		slowest += PreprocessUs + PostprocessUs
 	}
 	if cfg.Warmup == 0 {
 		cfg.Warmup = 5 * slowest
@@ -370,7 +369,7 @@ func serve(cfg Config, ol *openLoop) Result {
 		}
 		batch := w.Batch
 		if ol != nil {
-			batch = ol.arrival.MaxBatch
+			batch = ol.maxBatch
 		}
 		r := n.addReplica(ReplicaSpec{Model: w.Model, Batch: batch, GPU: g}, sizer, rtCfg)
 		q := r.rt.Queue()

@@ -102,9 +102,6 @@ func NewTracer() *Tracer {
 	}
 }
 
-// Enabled reports whether events will be recorded (false for nil).
-func (t *Tracer) Enabled() bool { return t != nil }
-
 func (t *Tracer) add(r record) {
 	t.mu.Lock()
 	t.records.push(r)

@@ -44,9 +44,6 @@ func NewSeries(widthUs int64, n int) *Series {
 	return &Series{buckets: make([]SeriesPoint, n), width: widthUs, headWin: -1}
 }
 
-// Width returns the bucket width in virtual microseconds.
-func (s *Series) Width() int64 { return s.width }
-
 // Span returns the rolling span the ring covers, in virtual microseconds.
 func (s *Series) Span() int64 { return s.width * int64(len(s.buckets)) }
 
