@@ -83,8 +83,7 @@ func (a *autoscaler) maybeReplan(f *Fleet, now sim.Time) {
 		// next kernel simply launches with the new partition budget.
 		f.spawnReplica(ra.to, now)
 		f.res.Resizes++
-		f.tel.cResizes().Inc()
-		f.tel.traceScaler(now, "resize", ra.old.id)
+		f.obs.onScale(now, "resize", ra.old.id)
 	}
 	for _, t := range acts.migrate {
 		readyAt := now
@@ -95,14 +94,12 @@ func (a *autoscaler) maybeReplan(f *Fleet, now sim.Time) {
 		}
 		f.spawnReplica(t, readyAt)
 		f.res.Migrations++
-		f.tel.cMigrations().Inc()
-		f.tel.traceScaler(now, "migrate", f.handleSeq-1) // the just-spawned handle
+		f.obs.onScale(now, "migrate", f.handleSeq-1) // the just-spawned handle
 	}
 	for _, h := range acts.drain {
 		f.drainReplica(h)
 		f.res.Drains++
-		f.tel.cDrains().Inc()
-		f.tel.traceScaler(now, "drain", h.id)
+		f.obs.onScale(now, "drain", h.id)
 	}
 }
 

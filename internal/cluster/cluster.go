@@ -212,7 +212,6 @@ type Fleet struct {
 	nodes   []*fleetNode
 	router  *router
 	scaler  *autoscaler
-	tel     *fleetTelemetry
 	obs     *fleetObserver
 	res     *Result
 
@@ -355,22 +354,20 @@ func New(cfg Config) *Fleet {
 	for i, w := range cfg.Workloads {
 		names[i] = w.Model.Name
 	}
-	tel := newFleetTelemetry(cfg.Telemetry, names)
+	obs := newFleetObserver(cfg.Obs, cfg.Telemetry, names, len(cfg.Tenants), cfg.Tick)
 
 	f := &Fleet{
 		cfg:     cfg,
 		planner: planner,
-		tel:     tel,
-		obs:     newFleetObserver(cfg.Obs, cfg.Telemetry, names, len(cfg.Tenants), cfg.Tick),
+		obs:     obs,
 		res:     &Result{Policy: cfg.Policy, Duration: cfg.Duration},
-		router:  newRouter(cfg.Policy, cfg.Seed, 4*maxBatch, modelQueueCap, tel, cfg.RecordRouting),
+		router:  newRouter(cfg.Policy, cfg.Seed, 4*maxBatch, modelQueueCap, obs, cfg.RecordRouting),
 		scaler: &autoscaler{
 			placer:   &placer{planner: planner},
 			epoch:    cfg.Epoch,
 			headroom: cfg.Headroom,
 		},
 	}
-	f.router.obs = f.obs
 
 	// Per-model router state, with auto-sized SLOs. LLM workloads carry a
 	// per-phase sizing profile and auto-size their SLO from the expected
@@ -446,8 +443,6 @@ func New(cfg Config) *Fleet {
 			}),
 		})
 	}
-	f.tel.gNodesUp().Set(int64(cfg.Nodes))
-
 	if cfg.Gateway != nil {
 		gcfg := *cfg.Gateway
 		if len(gcfg.Tenants) == 0 {
@@ -502,7 +497,7 @@ func (f *Fleet) Run() *Result {
 			// ones that outlived the P95-derived delay get a second copy.
 			f.gw.HedgeScan(now)
 		}
-		f.observe()
+		f.obs.onTick(f)
 		f.advance(now + f.cfg.Tick)
 	}
 	f.now = f.cfg.Duration
@@ -519,7 +514,7 @@ func (f *Fleet) Run() *Result {
 		}
 	}
 	f.finish()
-	f.obs.finishRun(f.cfg.Duration, f.cfg.Telemetry)
+	f.obs.finishRun(f)
 	return f.res
 }
 
@@ -676,19 +671,15 @@ func (f *Fleet) applyFaults(now sim.Time) {
 				// on live replicas (budget permitting) or fail.
 				failed := f.gw.OnReplicaDown(h.id, now)
 				f.res.Failed += failed
-				f.tel.cFailed().Add(uint64(failed))
-				f.obs.onReplicaDown(h, now, failed, true)
+				f.obs.onReplicaDown(f.modelByName(h.model), h, now, failed, true)
 			} else {
 				f.res.Failed += h.outstanding
-				f.tel.cFailed().Add(uint64(h.outstanding))
-				f.obs.onReplicaDown(h, now, h.outstanding, false)
+				f.obs.onReplicaDown(f.modelByName(h.model), h, now, h.outstanding, false)
 			}
 			h.outstanding = 0
 		}
 		f.res.NodeFaults++
-		f.tel.cNodeFaults().Inc()
-		f.tel.traceFault(now, "node-down", nf.Node)
-		f.tel.gNodesUp().Add(-1)
+		f.obs.onNodeFault(now, "node-down", nf.Node)
 	}
 	for _, n := range f.nodes {
 		if !n.up && n.downUntil >= 0 && now >= n.downUntil {
@@ -698,8 +689,7 @@ func (f *Fleet) applyFaults(now sim.Time) {
 			if f.hz != nil {
 				f.hz.push(n, nodeWake(n))
 			}
-			f.tel.traceFault(now, "node-up", n.id)
-			f.tel.gNodesUp().Add(1)
+			f.obs.onNodeFault(now, "node-up", n.id)
 		}
 	}
 }
@@ -860,7 +850,6 @@ func (f *Fleet) mergeRoute(from sim.Time) {
 		m := f.router.models[a.model]
 		m.arrivals++
 		m.rejected++
-		f.tel.cRejected().Inc()
 		f.obs.onShed(m, a.tenant, a.at, from)
 		if f.router.log != nil {
 			f.router.seq++
@@ -891,57 +880,6 @@ func (f *Fleet) nextArrival(idx []int) int {
 		}
 	}
 	return best
-}
-
-// observe samples fleet gauges once per tick and advances the SLO
-// monitors' windows to the tick clock.
-func (f *Fleet) observe() {
-	f.obs.onTick(f.now)
-	if f.tel == nil {
-		return
-	}
-	for _, m := range f.router.models {
-		live := 0
-		for _, h := range m.replicas {
-			if !h.draining {
-				live++
-			}
-		}
-		f.tel.setReplicas(m.name, live)
-	}
-	// One aggregated depth observation per node, plus a top-K laggard
-	// ranking (outstanding descending, node id ascending on ties — the
-	// strict > keeps the earlier node ahead when depths are equal).
-	var lagIDs, lagDepths [laggardK]int
-	lagN := 0
-	for _, n := range f.nodes {
-		if !n.up {
-			continue
-		}
-		outstanding := 0
-		for _, h := range n.handles {
-			outstanding += h.outstanding
-		}
-		f.tel.observeNode(n.id, outstanding)
-		i := lagN
-		for i > 0 && outstanding > lagDepths[i-1] {
-			i--
-		}
-		if i < laggardK {
-			end := lagN
-			if end == laggardK {
-				end = laggardK - 1
-			}
-			for j := end; j > i; j-- {
-				lagDepths[j], lagIDs[j] = lagDepths[j-1], lagIDs[j-1]
-			}
-			lagDepths[i], lagIDs[i] = outstanding, n.id
-			if lagN < laggardK {
-				lagN++
-			}
-		}
-	}
-	f.tel.setLaggards(&lagIDs, &lagDepths, lagN)
 }
 
 // advance moves the fleet's nodes to the tick barrier t. The event-horizon

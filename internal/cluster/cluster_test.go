@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"krisp/internal/cluster/gateway"
 	"krisp/internal/cluster/workload"
 	"krisp/internal/faults"
 	"krisp/internal/models"
@@ -185,43 +187,92 @@ func TestNodeFaultDrainAndReplace(t *testing.T) {
 
 // TestFleetMetricsExposed asserts the fleet gauges and counters land in
 // the registry and render through the Prometheus exposition — the same
-// path httpapi's /metrics serves.
+// path httpapi's /metrics serves — and that every krisp_fleet_*_total
+// counter equals its Result field at run end, including requests still
+// queued when the run ends (counted rejected). A second run on the same
+// registry must add to the counters, not replace them.
 func TestFleetMetricsExposed(t *testing.T) {
-	hub := telemetry.NewHub(false)
-	cfg := baseConfig(t)
-	cfg.Telemetry = hub
-	cfg.NodeFaults = []faults.NodeFault{
+	type metricsCase struct {
+		name string
+		cfg  Config
+	}
+	down := baseConfig(t)
+	down.NodeFaults = []faults.NodeFault{
 		{At: 100 * sim.Millisecond, Node: 0, Kind: faults.NodeDown},
 	}
-	res := Run(cfg)
-
-	var sb strings.Builder
-	if err := hub.Reg.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{
-		"krisp_fleet_routed_total",
-		"krisp_fleet_completed_total",
-		"krisp_fleet_nodes_up",
-		`krisp_fleet_replicas{model="squeezenet"}`,
-		`krisp_fleet_node_outstanding_bucket{le="1"}`,
-		`krisp_fleet_node_laggard{rank="0"}`,
-		`krisp_fleet_node_laggard_node{rank="0"}`,
-		"krisp_fleet_node_faults_total 1",
-		"krisp_fleet_nodes_up 2",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("exposition missing %q\n%s", want, out)
+	cases := []metricsCase{{"base-node-down", down}}
+	for _, s := range ChaosScenarios() {
+		for _, gw := range []*gateway.Config{nil, {}} {
+			cfg := chaosConfig(t)
+			cfg.Gateway = gw
+			applyChaos(t, &cfg, s.Name)
+			cases = append(cases, metricsCase{fmt.Sprintf("%s/gateway=%v", s.Name, gw != nil), cfg})
 		}
 	}
-	// Counters must agree with the result.
-	reg := hub.Reg
-	if got := reg.Counter("krisp_fleet_completed_total", "").Value(); got != uint64(res.Completed) {
-		t.Fatalf("completed counter %d != result %d", got, res.Completed)
+	cases = append(cases, metricsCase{"llm-disagg", llmDisaggConfig()})
+
+	counters := []struct {
+		name   string
+		result func(*Result) int
+	}{
+		{"krisp_fleet_routed_total", func(r *Result) int { return r.Routed }},
+		{"krisp_fleet_rejected_total", func(r *Result) int { return r.Rejected }},
+		{"krisp_fleet_completed_total", func(r *Result) int { return r.Completed }},
+		{"krisp_fleet_failed_total", func(r *Result) int { return r.Failed }},
+		{"krisp_fleet_slo_violations_total", func(r *Result) int { return r.SLOViolations }},
+		{"krisp_fleet_migrations_total", func(r *Result) int { return r.Migrations }},
+		{"krisp_fleet_resizes_total", func(r *Result) int { return r.Resizes }},
+		{"krisp_fleet_drains_total", func(r *Result) int { return r.Drains }},
+		{"krisp_fleet_node_faults_total", func(r *Result) int { return r.NodeFaults }},
 	}
-	if got := reg.Counter("krisp_fleet_routed_total", "").Value(); got != uint64(res.Routed) {
-		t.Fatalf("routed counter %d != result %d", got, res.Routed)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			hub := telemetry.NewHub(false)
+			cfg := tc.cfg
+			cfg.Telemetry = hub
+			var results []*Result
+			for run := 0; run < 2; run++ {
+				f := New(cfg)
+				res := f.Run()
+				results = append(results, res)
+				for _, c := range counters {
+					want := 0
+					for _, r := range results {
+						want += c.result(r)
+					}
+					if got := hub.Reg.Counter(c.name, "").Value(); got != uint64(want) {
+						t.Fatalf("run %d: %s = %d, want %d (summed Result)", run, c.name, got, want)
+					}
+				}
+				up := 0
+				for _, n := range f.nodes {
+					if n.up {
+						up++
+					}
+				}
+				if got := hub.Reg.Gauge("krisp_fleet_nodes_up", "").Value(); got != int64(up) {
+					t.Fatalf("run %d: krisp_fleet_nodes_up = %d, want %d", run, got, up)
+				}
+			}
+
+			var sb strings.Builder
+			if err := hub.Reg.WritePrometheus(&sb); err != nil {
+				t.Fatal(err)
+			}
+			out := sb.String()
+			for _, want := range []string{
+				"krisp_fleet_routed_total",
+				"krisp_fleet_nodes_up",
+				fmt.Sprintf(`krisp_fleet_replicas{model="%s"}`, cfg.Workloads[0].Model.Name),
+				`krisp_fleet_node_outstanding_bucket{le="1"}`,
+				`krisp_fleet_node_laggard{rank="0"}`,
+				`krisp_fleet_node_laggard_node{rank="0"}`,
+			} {
+				if !strings.Contains(out, want) {
+					t.Fatalf("exposition missing %q\n%s", want, out)
+				}
+			}
+		})
 	}
 }
 

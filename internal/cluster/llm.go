@@ -120,7 +120,7 @@ func (r *router) sendHandoff(m *modelState, h *replicaHandle, ho handoff, now si
 	if r.log != nil {
 		fmt.Fprintf(r.log, "%d %s~>%d\n", r.seq, m.name, h.id)
 	}
-	r.tel.traceRoute(now, h.id)
+	r.obs.traceRoute(now, h.id)
 	r.deliver(h, ho.due, now, ho.arrival, ho.id, ho.prompt, ho.output, true)
 }
 

@@ -12,8 +12,27 @@ import (
 
 // journeyPidBase namespaces the per-tenant journey tracks in the Chrome
 // trace, clear of the per-GPU pids the node stacks use and the fleet
-// control track (fleetPid, telemetry.go).
+// control track (fleetPid).
 const journeyPidBase = 1 << 19
+
+// fleetPid is the Chrome-trace process id of the fleet control track:
+// router decisions, gateway hedges/breakers, and autoscaler actions land
+// here as instant events, clear of the per-GPU node pids and the journey
+// tracks.
+const fleetPid = 1 << 20
+
+// Thread ids on the fleet control track.
+const (
+	fleetTidRouter = iota
+	fleetTidGateway
+	fleetTidScaler
+)
+
+// laggardK bounds the per-rank laggard gauges: instead of one histogram
+// per node (unbounded label cardinality as fleets scale), the fleet
+// exports one aggregated depth histogram plus the top-K most-loaded nodes
+// each tick.
+const laggardK = 4
 
 // Observability opts the fleet into the request-journey and SLO-monitoring
 // layer. The zero value (and a nil pointer on Config) disables everything:
@@ -70,50 +89,117 @@ func burnDefaults(b telemetry.BurnConfig, tick sim.Duration) telemetry.BurnConfi
 	return b
 }
 
-// fleetObserver threads request journeys, stage-attribution histograms,
-// burn-rate monitors, and the flight recorder through the fleet's control
-// loop. Like fleetTelemetry, every method tolerates a nil receiver, and the
-// observer only observes: it draws no randomness, schedules no events, and
-// leaves RoutingLog and Result byte-identical on or off.
+// fleetCounter publishes one of the fleet's own monotonic tallies as a
+// registry counter. Each publish adds the growth since the last one, so
+// runs that share a registry still sum.
+type fleetCounter struct {
+	c    *telemetry.Counter
+	last int
+}
+
+func (c *fleetCounter) publish(total int) {
+	c.c.Add(uint64(total - c.last))
+	c.last = total
+}
+
+// fleetObserver is the fleet's one observation layer. With a registry it
+// mirrors the fleet's totals into the krisp_fleet_* counters and samples
+// the replica, depth and laggard gauges once per tick; with a tracer it
+// drops route, scaler and fault instants on the fleet track; with Obs
+// enabled it threads request journeys, stage-attribution histograms,
+// burn-rate monitors, and the flight recorder through the control loop.
+// Every method tolerates a nil receiver, and the observer only observes:
+// it draws no randomness, schedules no events, and leaves RoutingLog and
+// Result byte-identical on or off.
 //
 // The observer runs strictly on the fleet control goroutine. Journey
 // records come from a single-goroutine pool; live journeys are keyed by
 // request id, and the rare sweeps that iterate the map (node faults, run
 // end) sort the ids first so flight-recorder content replays identically.
 type fleetObserver struct {
+	// Registry mirrors; nodesUp is nil without a registry. The counters
+	// publish from the fleet's own tallies, never per event.
+	routed, rejected, completed, failed, sloViolations fleetCounter
+	migrations, resizes, drains, nodeFaults            fleetCounter
+	nodesUp                                            *telemetry.Gauge
+	replicas                                           []*telemetry.Gauge // per model index
+	// queueDepth samples every up node's outstanding requests once per
+	// tick into one aggregated histogram; laggardDepth[k] / laggardNode[k]
+	// export the k-th most-loaded node's outstanding count and id (-1 when
+	// fewer nodes are up than ranks).
+	queueDepth   *telemetry.Histogram
+	laggardDepth [laggardK]*telemetry.Gauge
+	laggardNode  [laggardK]*telemetry.Gauge
+
 	sampleEvery uint64
 	pool        telemetry.JourneyPool
 	byID        map[uint64]*telemetry.Journey
-	flight      *telemetry.FlightRecorder
-	monitors    []*telemetry.BurnMonitor // per model; nil when Monitors off
+	flight      *telemetry.FlightRecorder // nil unless Obs is enabled
+	monitors    []*telemetry.BurnMonitor  // per model; nil when Monitors off
 	// stage[model][tenant][stage] are the latency-attribution histograms.
 	stage   [][][telemetry.NumStages]*telemetry.Histogram
 	tracer  *telemetry.Tracer
-	names   []string
 	shedSeq uint64   // dedicated shed-sampling counter (sheds carry no id)
 	idBuf   []uint64 // sweep scratch
 }
 
-// newFleetObserver builds the observer, registering stage histograms and
-// binding monitors on the hub's registry. Returns nil when o is nil or
-// fully disabled.
+// newFleetObserver builds the observer: the fleet counters and gauges on
+// the hub's registry, the fleet trace track on its tracer, and — when o is
+// enabled — the journey pool, stage histograms and bound monitors. Returns
+// nil when there is neither a registry nor an enabled o, so a bare fleet
+// pays one nil check per hook.
 func newFleetObserver(o *Observability, hub *telemetry.Hub, modelNames []string, tenants int, tick sim.Duration) *fleetObserver {
-	if !o.enabled() {
+	reg := hub.Registry()
+	if reg == nil && !o.enabled() {
 		return nil
+	}
+	fo := &fleetObserver{tracer: hub.Trace()}
+	if reg != nil {
+		fo.routed.c = reg.Counter("krisp_fleet_routed_total", "requests routed to a replica")
+		fo.rejected.c = reg.Counter("krisp_fleet_rejected_total", "requests rejected by admission control or shed from the queue")
+		fo.completed.c = reg.Counter("krisp_fleet_completed_total", "requests completed")
+		fo.failed.c = reg.Counter("krisp_fleet_failed_total", "requests lost to node faults")
+		fo.sloViolations.c = reg.Counter("krisp_fleet_slo_violations_total", "completed requests whose latency exceeded the model SLO")
+		fo.migrations.c = reg.Counter("krisp_fleet_migrations_total", "replicas placed onto a new GPU (model load paid)")
+		fo.resizes.c = reg.Counter("krisp_fleet_resizes_total", "replicas resized in place (free under kernel-scoped instances)")
+		fo.drains.c = reg.Counter("krisp_fleet_drains_total", "replicas drained out of the placement")
+		fo.nodeFaults.c = reg.Counter("krisp_fleet_node_faults_total", "node-level faults applied")
+		fo.nodesUp = reg.Gauge("krisp_fleet_nodes_up", "nodes currently serving")
+		for _, m := range modelNames {
+			fo.replicas = append(fo.replicas, reg.Gauge(
+				fmt.Sprintf(`krisp_fleet_replicas{model="%s"}`, m),
+				"live replicas per model"))
+		}
+		fo.queueDepth = reg.Histogram(
+			"krisp_fleet_node_outstanding",
+			"outstanding requests per node, sampled per tick (all nodes aggregated)",
+			telemetry.QueueDepthBuckets())
+		for k := 0; k < laggardK; k++ {
+			fo.laggardDepth[k] = reg.Gauge(
+				fmt.Sprintf(`krisp_fleet_node_laggard{rank="%d"}`, k),
+				"outstanding requests on the k-th most-loaded node this tick")
+			fo.laggardNode[k] = reg.Gauge(
+				fmt.Sprintf(`krisp_fleet_node_laggard_node{rank="%d"}`, k),
+				"node id holding the k-th laggard rank this tick (-1 when unranked)")
+		}
+	}
+	if fo.tracer != nil {
+		fo.tracer.NameProcess(fleetPid, "fleet")
+		fo.tracer.NameThread(fleetPid, fleetTidRouter, "router")
+		fo.tracer.NameThread(fleetPid, fleetTidGateway, "gateway")
+		fo.tracer.NameThread(fleetPid, fleetTidScaler, "autoscaler")
+	}
+	if !o.enabled() {
+		return fo
 	}
 	if tenants < 1 {
 		tenants = 1
 	}
-	fo := &fleetObserver{
-		flight: telemetry.NewFlightRecorder(o.FlightCap),
-		tracer: hub.Trace(),
-		names:  modelNames,
-	}
+	fo.flight = telemetry.NewFlightRecorder(o.FlightCap)
 	if o.SampleEvery > 0 {
 		fo.sampleEvery = uint64(o.SampleEvery)
 		fo.byID = make(map[uint64]*telemetry.Journey)
 	}
-	reg := hub.Registry()
 	if o.Monitors {
 		cfg := burnDefaults(o.Burn, tick)
 		fo.monitors = make([]*telemetry.BurnMonitor, len(modelNames))
@@ -159,8 +245,13 @@ func (o *fleetObserver) sampled(id uint64) bool {
 // onSend stamps a sampled request's admit boundary as it leaves the router
 // for a replica. T[0] is the true arrival; T[1] the router-phase clock, so
 // the admit stage folds in admission, rate-limit, and router-queue wait.
+// Every send also drops a route instant on the fleet track.
 func (o *fleetObserver) onSend(id uint64, m *modelState, h *replicaHandle, tenant int, arrival, now sim.Time) {
-	if o == nil || !o.sampled(id) {
+	if o == nil {
+		return
+	}
+	o.traceRoute(now, h.id)
+	if !o.sampled(id) {
 		return
 	}
 	j := o.pool.Get()
@@ -260,20 +351,13 @@ func (o *fleetObserver) onShed(m *modelState, tenant int, arrival, now sim.Time)
 // marked fault-touched. Without a gateway every outstanding journey on the
 // replica is dead — finish them now; with one, retries may still rescue
 // them, so the final disposition waits for completion or the run-end sweep.
-func (o *fleetObserver) onReplicaDown(h *replicaHandle, now sim.Time, failed int, gatewayMode bool) {
+func (o *fleetObserver) onReplicaDown(m *modelState, h *replicaHandle, now sim.Time, failed int, gatewayMode bool) {
 	if o == nil {
 		return
 	}
-	m := -1
-	for i, name := range o.names {
-		if name == h.model {
-			m = i
-			break
-		}
-	}
-	if m >= 0 && m < len(o.monitors) {
+	if m.index < len(o.monitors) {
 		for i := 0; i < failed; i++ {
-			o.monitors[m].Observe(int64(now), true)
+			o.monitors[m.index].Observe(int64(now), true)
 		}
 	}
 	if o.byID == nil {
@@ -297,13 +381,115 @@ func (o *fleetObserver) onReplicaDown(h *replicaHandle, now sim.Time, failed int
 	}
 }
 
-// onTick advances every monitor's windows to the tick clock.
-func (o *fleetObserver) onTick(now sim.Time) {
+// onTick runs once per tick, after routing: it advances every monitor's
+// windows to the tick clock and, with a registry, samples the replica
+// gauges, the aggregated depth histogram and the top-K laggard ranking,
+// then publishes the fleet's totals.
+func (o *fleetObserver) onTick(f *Fleet) {
 	if o == nil {
 		return
 	}
 	for _, m := range o.monitors {
-		m.Advance(int64(now))
+		m.Advance(int64(f.now))
+	}
+	if o.nodesUp == nil {
+		return
+	}
+	for i, m := range f.router.models {
+		live := 0
+		for _, h := range m.replicas {
+			if !h.draining {
+				live++
+			}
+		}
+		o.replicas[i].Set(int64(live))
+	}
+	// One aggregated depth observation per up node, plus a top-K laggard
+	// ranking (outstanding descending, node id ascending on ties — the
+	// strict > keeps the earlier node ahead when depths are equal).
+	var lagIDs, lagDepths [laggardK]int
+	lagN, up := 0, 0
+	for _, n := range f.nodes {
+		if !n.up {
+			continue
+		}
+		up++
+		outstanding := 0
+		for _, h := range n.handles {
+			outstanding += h.outstanding
+		}
+		o.queueDepth.Observe(float64(outstanding))
+		i := lagN
+		for i > 0 && outstanding > lagDepths[i-1] {
+			i--
+		}
+		if i < laggardK {
+			end := lagN
+			if end == laggardK {
+				end = laggardK - 1
+			}
+			for j := end; j > i; j-- {
+				lagDepths[j], lagIDs[j] = lagDepths[j-1], lagIDs[j-1]
+			}
+			lagDepths[i], lagIDs[i] = outstanding, n.id
+			if lagN < laggardK {
+				lagN++
+			}
+		}
+	}
+	for k := 0; k < laggardK; k++ {
+		if k < lagN {
+			o.laggardDepth[k].Set(int64(lagDepths[k]))
+			o.laggardNode[k].Set(int64(lagIDs[k]))
+			continue
+		}
+		o.laggardDepth[k].Set(0)
+		o.laggardNode[k].Set(-1)
+	}
+	o.nodesUp.Set(int64(up))
+	o.publish(f)
+}
+
+// publish adds the growth of each tally the fleet keeps for Result to its
+// krisp_fleet_*_total counter.
+func (o *fleetObserver) publish(f *Fleet) {
+	var routed, rejected, completed, slo int
+	for _, m := range f.router.models {
+		routed += m.routed
+		rejected += m.rejected
+		completed += m.completed
+		slo += m.sloViolations
+	}
+	o.routed.publish(routed)
+	o.rejected.publish(rejected)
+	o.completed.publish(completed)
+	o.sloViolations.publish(slo)
+	o.failed.publish(f.res.Failed)
+	o.migrations.publish(f.res.Migrations)
+	o.resizes.publish(f.res.Resizes)
+	o.drains.publish(f.res.Drains)
+	o.nodeFaults.publish(f.res.NodeFaults)
+}
+
+// traceRoute drops a route-decision instant on the fleet track.
+func (o *fleetObserver) traceRoute(now sim.Time, replica int) {
+	if o != nil && o.tracer != nil {
+		o.tracer.Instant("fleet", "route", fleetPid, fleetTidRouter, float64(now), "replica", float64(replica))
+	}
+}
+
+// onScale drops an autoscaler action instant (resize/migrate/drain) on the
+// fleet track, tagged with the acting replica's id.
+func (o *fleetObserver) onScale(now sim.Time, action string, replica int) {
+	if o != nil && o.tracer != nil {
+		o.tracer.Instant("fleet", action, fleetPid, fleetTidScaler, float64(now), "replica", float64(replica))
+	}
+}
+
+// onNodeFault drops a node-down or node-up instant on the fleet track.
+func (o *fleetObserver) onNodeFault(now sim.Time, kind string, node int) {
+	if o != nil && o.tracer != nil {
+		o.tracer.Instant("fleet", kind, fleetPid, fleetTidScaler, float64(now), "node", float64(node))
 	}
 }
 
@@ -339,10 +525,11 @@ func (o *fleetObserver) retire(j *telemetry.Journey) {
 
 // finishRun sweeps journeys still live at the end of the run (fault-touched
 // ones failed; the rest simply never completed inside the horizon), takes a
-// final monitor reading, and — when the fleet is wired to the process-wide
-// registry — publishes the SLO board and flight recorder for the debug
-// endpoints.
-func (o *fleetObserver) finishRun(end sim.Duration, hub *telemetry.Hub) {
+// final monitor reading, publishes the fleet's final totals — finish has
+// folded the requests still queued into the rejected tallies — and, when
+// Obs is enabled on the process-wide registry, publishes the SLO board and
+// flight recorder for the debug endpoints.
+func (o *fleetObserver) finishRun(f *Fleet) {
 	if o == nil {
 		return
 	}
@@ -364,9 +551,10 @@ func (o *fleetObserver) finishRun(end sim.Duration, hub *telemetry.Hub) {
 		}
 	}
 	for _, m := range o.monitors {
-		m.Advance(int64(end))
+		m.Advance(int64(f.cfg.Duration))
 	}
-	if hub.Registry() == telemetry.Default() {
+	o.publish(f)
+	if o.flight != nil && f.cfg.Telemetry.Registry() == telemetry.Default() {
 		telemetry.DefaultBoard().Publish(o.statuses())
 		telemetry.SetDefaultFlight(o.flight)
 	}

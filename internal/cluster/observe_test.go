@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"encoding/json"
 	"fmt"
+	"strings"
 	"testing"
 
 	"krisp/internal/cluster/gateway"
@@ -186,8 +188,9 @@ func TestStageHistogramsPopulated(t *testing.T) {
 	}
 }
 
-// TestObservabilityOffIsFree: a nil and a fully-disabled Obs produce no
-// observer at all, so the event-horizon scheduler keeps its idle-skip path.
+// TestObservabilityOffIsFree: without a registry, a nil and a
+// fully-disabled Obs produce no observer at all, so a bare fleet pays one
+// nil check per hook.
 func TestObservabilityOffIsFree(t *testing.T) {
 	if o := newFleetObserver(nil, nil, nil, 0, sim.Millisecond); o != nil {
 		t.Fatal("nil Obs built an observer")
@@ -210,7 +213,6 @@ func routeHookBench(r *router, m *modelState) {
 		id = r.reqSeq
 	}
 	r.obs.onSend(id, m, h, 0, 0, 0)
-	r.tel.traceRoute(0, h.id)
 	h.outstanding++
 	if h.outstanding > 1<<20 {
 		for _, rh := range m.replicas {
@@ -310,5 +312,70 @@ func BenchmarkFleetScalingJourneys(b *testing.B) {
 			}
 			b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "requests/s")
 		})
+	}
+}
+
+// TestFleetTraceTrack: a traced fleet must record every control-plane
+// action on the fleet track — one route instant per routed request, one
+// instant per autoscaler action and per node crash — and the sampled
+// journeys as spans on their tenant's track, without moving a single
+// routing decision.
+func TestFleetTraceTrack(t *testing.T) {
+	build := func(hub *telemetry.Hub) Config {
+		cfg := chaosConfig(t)
+		cfg.Gateway = &gateway.Config{}
+		applyChaos(t, &cfg, "gray-node")
+		cfg.NodeFaults = append(cfg.NodeFaults, faults.NodeFault{
+			At: 150 * sim.Millisecond, Node: 0, Kind: faults.NodeDown, Duration: 60 * sim.Millisecond,
+		})
+		cfg.Obs = &Observability{SampleEvery: 3, Monitors: true}
+		cfg.RecordRouting = true
+		cfg.Telemetry = hub
+		return cfg
+	}
+	hub := telemetry.NewHub(true)
+	res := Run(build(hub))
+	if plain := Run(build(nil)); plain.RoutingLog != res.RoutingLog {
+		t.Fatal("tracing changed routing decisions")
+	}
+
+	var sb strings.Builder
+	if err := hub.Trace().WriteChromeTrace(&sb); err != nil {
+		t.Fatal(err)
+	}
+	var trace struct {
+		TraceEvents []struct {
+			Name, Cat, Ph string
+			Pid, Tid      int
+		}
+	}
+	if err := json.Unmarshal([]byte(sb.String()), &trace); err != nil {
+		t.Fatal(err)
+	}
+	fleet := map[string]int{}
+	journeySpans := 0
+	for _, e := range trace.TraceEvents {
+		switch {
+		case e.Pid == fleetPid && e.Ph == "i":
+			fleet[e.Name]++
+		case e.Cat == "journey":
+			if e.Ph != "X" || e.Pid != journeyPidBase {
+				t.Fatalf("journey event %+v off the tenant-0 journey track", e)
+			}
+			journeySpans++
+		}
+	}
+	if fleet["route"] != res.Routed {
+		t.Fatalf("route instants %d != routed %d", fleet["route"], res.Routed)
+	}
+	scaler := fleet["resize"] + fleet["migrate"] + fleet["drain"]
+	if want := res.Resizes + res.Migrations + res.Drains; scaler != want || want == 0 {
+		t.Fatalf("autoscaler instants %d != resizes+migrations+drains %d", scaler, want)
+	}
+	if fleet["node-down"] != res.NodeFaults || res.NodeFaults == 0 {
+		t.Fatalf("node-down instants %d != node faults %d", fleet["node-down"], res.NodeFaults)
+	}
+	if journeySpans == 0 {
+		t.Fatal("no journey spans on the tenant track")
 	}
 }

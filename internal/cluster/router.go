@@ -152,11 +152,10 @@ type router struct {
 	outstandingCap int        // per replica, in requests
 	queueCap       int        // per model
 	models         []*modelState
-	tel            *fleetTelemetry
 
-	// obs, when non-nil, is the request-journey observer. Sends then carry
-	// request identities even without a gateway so completions can be
-	// matched back to their sampled journey records.
+	// obs is the fleet observer (nil when nothing observes). With journeys
+	// on, sends carry request identities even without a gateway so
+	// completions can be matched back to their sampled journey records.
 	obs *fleetObserver
 
 	// gw, when non-nil, is the resilience gateway fronting this router:
@@ -181,13 +180,13 @@ type router struct {
 // fleet; router tests build shallower queues through newRouter.
 const modelQueueCap = 64
 
-func newRouter(policy Policy, seed int64, outstandingCap, queueCap int, tel *fleetTelemetry, record bool) *router {
+func newRouter(policy Policy, seed int64, outstandingCap, queueCap int, obs *fleetObserver, record bool) *router {
 	r := &router{
 		policy:         policy,
 		rng:            rand.New(rand.NewSource(seed ^ 0x726f757465)), // "route"
 		outstandingCap: outstandingCap,
 		queueCap:       queueCap,
-		tel:            tel,
+		obs:            obs,
 	}
 	if record {
 		r.log = &strings.Builder{}
@@ -337,7 +336,6 @@ func (r *router) route(m *modelState, arrival sim.Time, now sim.Time, tenant, pr
 		return
 	}
 	m.rejected++
-	r.tel.cRejected().Inc()
 	r.obs.onShed(m, tenant, arrival, now)
 	if r.log != nil {
 		fmt.Fprintf(r.log, "%d %s->reject\n", r.seq, m.name)
@@ -352,7 +350,6 @@ func (r *router) send(m *modelState, h *replicaHandle, arrival, now sim.Time, te
 	h.outstanding++
 	h.routed++
 	m.routed++
-	r.tel.cRouted().Inc()
 	if r.log != nil {
 		fmt.Fprintf(r.log, "%d %s->%d\n", r.seq, m.name, h.id)
 	}
@@ -365,7 +362,6 @@ func (r *router) send(m *modelState, h *replicaHandle, arrival, now sim.Time, te
 		r.gw.OnPrimarySend(id, m.index, tenant, h.id, arrival, now)
 	}
 	r.obs.onSend(id, m, h, tenant, arrival, now)
-	r.tel.traceRoute(now, h.id)
 	r.deliver(h, arrival, now, arrival, id, prompt, output, false)
 }
 
@@ -408,7 +404,6 @@ func (r *router) drainQueue(m *modelState, now sim.Time) {
 		}
 		if infeasible {
 			m.rejected++
-			r.tel.cRejected().Inc()
 			r.obs.onShed(m, q.tenant, q.arrival, now)
 			if r.gw != nil {
 				r.gw.OnQueueShed(m.index, q.tenant)
@@ -453,11 +448,9 @@ func (r *router) absorb(m *modelState, h *replicaHandle, c server.Completion, no
 	m.completed++
 	m.tokensOut += c.Tokens
 	m.latency.Add(lat)
-	r.tel.cCompleted().Inc()
 	sloViolated := lat > m.sloUs
 	if sloViolated {
 		m.sloViolations++
-		r.tel.cSLO().Inc()
 	}
 	r.obs.onWinner(m, h, c, sloViolated)
 }
