@@ -19,6 +19,11 @@ type autoscaler struct {
 	headroom float64
 	next     sim.Time
 	epochs   int
+
+	// Per-epoch scratch, reused so a warm replan allocates nothing.
+	demands  []sched.Demand
+	llmInsts []llmInst
+	slots    []slot
 }
 
 // maybeReplan runs the control loop when now crosses the epoch boundary.
@@ -35,8 +40,7 @@ func (a *autoscaler) maybeReplan(f *Fleet, now sim.Time) {
 	// would predict from history; the simulation forecasts from the
 	// generator itself, which isolates placement behaviour from predictor
 	// quality.
-	demands := make([]sched.Demand, 0, len(f.cfg.Workloads))
-	var llmInsts []llmInst
+	demands, llmInsts := a.demands[:0], a.llmInsts[:0]
 	for i, w := range f.cfg.Workloads {
 		rate := a.headroom * workload.MeanRate(w.Gen, now, now+a.epoch)
 		if lm := f.router.models[i].llm; lm != nil {
@@ -60,7 +64,7 @@ func (a *autoscaler) maybeReplan(f *Fleet, now sim.Time) {
 			maxGPUs = n.node.NumGPUs()
 		}
 	}
-	var slots []slot
+	slots := a.slots[:0]
 	for g := 0; g < maxGPUs; g++ {
 		for _, n := range f.nodes {
 			if n.up && g < n.node.NumGPUs() {
@@ -68,11 +72,12 @@ func (a *autoscaler) maybeReplan(f *Fleet, now sim.Time) {
 			}
 		}
 	}
+	a.demands, a.llmInsts, a.slots = demands, llmInsts, slots
 
 	targets, unplaced := a.placer.place(demands, llmInsts, slots)
 	f.res.Unplaced += unplaced
 
-	acts := diff(f.handles, targets)
+	acts := a.placer.diff(f.handles, targets)
 	proc, kern := reconfigBill(acts, f.cfg.Costs)
 	f.res.ProcessScopedReload += proc
 	f.res.KernelScopedReload += kern

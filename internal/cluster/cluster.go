@@ -16,7 +16,9 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"krisp/internal/cluster/gateway"
@@ -555,15 +557,12 @@ func (f *Fleet) spawnReplica(t target, readyAt sim.Time) {
 	}
 	rep := n.node.AddReplica(spec)
 	h := &replicaHandle{
-		id:      f.handleSeq,
-		node:    t.node,
-		gpu:     t.gpu,
-		nodeRef: n,
-		model:   t.model,
-		cus:     t.cus,
-		rep:     rep,
-		readyAt: readyAt,
-		role:    t.role,
+		id:        f.handleSeq,
+		gpuletKey: t.gpuletKey,
+		nodeRef:   n,
+		cus:       t.cus,
+		rep:       rep,
+		readyAt:   readyAt,
 	}
 	f.handleSeq++
 	f.handles = append(f.handles, h)
@@ -620,11 +619,11 @@ func (f *Fleet) pullCompletions(now sim.Time) {
 			f.complPairs = append(f.complPairs, complPair{h: h, c: c})
 		}
 	}
-	sort.SliceStable(f.complPairs, func(i, j int) bool {
-		if f.complPairs[i].c.End != f.complPairs[j].c.End {
-			return f.complPairs[i].c.End < f.complPairs[j].c.End
+	slices.SortStableFunc(f.complPairs, func(a, b complPair) int {
+		if c := cmp.Compare(a.c.End, b.c.End); c != 0 {
+			return c
 		}
-		return f.complPairs[i].h.id < f.complPairs[j].h.id
+		return cmp.Compare(a.h.id, b.h.id)
 	})
 	for _, p := range f.complPairs {
 		f.router.absorb(f.modelByName(p.h.model), p.h, p.c, now)
@@ -833,12 +832,12 @@ func (f *Fleet) mergeRoute(from sim.Time) {
 		f.orderBuf = append(f.orderBuf, i)
 	}
 	if f.cfg.Gateway.RateLimited() {
-		sort.SliceStable(f.orderBuf, func(x, y int) bool {
-			a, b := &f.admitBuf[f.orderBuf[x]], &f.admitBuf[f.orderBuf[y]]
-			if a.class != b.class {
-				return a.class < b.class
+		slices.SortStableFunc(f.orderBuf, func(x, y int) int {
+			a, b := &f.admitBuf[x], &f.admitBuf[y]
+			if c := cmp.Compare(a.class, b.class); c != 0 {
+				return c
 			}
-			return a.deadline < b.deadline
+			return cmp.Compare(a.deadline, b.deadline)
 		})
 	}
 	for _, i := range f.orderBuf {

@@ -307,3 +307,40 @@ func TestPolicyNames(t *testing.T) {
 		t.Fatal("expected error for unknown policy")
 	}
 }
+
+// TestPullCompletionsZeroAlloc guards the per-tick completion pull on a
+// gateway fleet, the path that replays completions in virtual-time order:
+// once warm, a tick that serves a request on every live replica and pulls
+// the completions allocates nothing.
+func TestPullCompletionsZeroAlloc(t *testing.T) {
+	cfg := baseConfig(t)
+	cfg.Gateway = &gateway.Config{}
+	f := New(cfg)
+	f.Run()
+	now := f.cfg.Duration
+	pulled := 0
+	cycle := func() {
+		for _, h := range f.handles {
+			if !h.dead && !h.draining {
+				h.rep.Submit(now)
+			}
+		}
+		now += 10 * f.cfg.Tick
+		for _, n := range f.nodes {
+			if n.up {
+				n.node.RunUntil(now)
+			}
+		}
+		f.pullCompletions(now)
+		pulled = len(f.complPairs)
+	}
+	for i := 0; i < 8; i++ {
+		cycle()
+	}
+	if pulled < 2 {
+		t.Fatalf("a tick pulled %d completions, want several to order", pulled)
+	}
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("serve+pull tick allocates %.2f/op, want 0", allocs)
+	}
+}

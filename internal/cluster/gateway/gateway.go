@@ -272,6 +272,7 @@ type Gateway struct {
 	inflight []*track
 	byID     map[uint64]*track
 	resolved int
+	free     []*track // resolved tracks compact dropped, reused by OnPrimarySend
 
 	now   sim.Time
 	tel   *Telemetry
@@ -501,7 +502,14 @@ func (g *Gateway) OnPrimarySend(id uint64, model, tenantIdx, replica int, arriva
 	g.budget.Credit()
 	g.stats.Primaries++
 	g.breakers[replica].OnSend()
-	t := &track{
+	var t *track
+	if n := len(g.free); n > 0 {
+		t = g.free[n-1]
+		g.free = g.free[:n-1]
+	} else {
+		t = new(track)
+	}
+	*t = track{
 		id:       id,
 		model:    int32(model),
 		tenant:   int32(tenantIdx),
@@ -684,14 +692,18 @@ func (g *Gateway) resolve(t *track) {
 	g.resolved++
 }
 
-// compact drops resolved tracks once they dominate the in-flight slice.
+// compact drops resolved tracks once they dominate the in-flight slice,
+// onto the free list: resolve already removed them from byID, so the
+// in-flight slice held their last reference.
 func (g *Gateway) compact() {
 	if g.resolved < 64 || g.resolved*2 < len(g.inflight) {
 		return
 	}
 	kept := g.inflight[:0]
 	for _, t := range g.inflight {
-		if !t.resolved {
+		if t.resolved {
+			g.free = append(g.free, t)
+		} else {
 			kept = append(kept, t)
 		}
 	}

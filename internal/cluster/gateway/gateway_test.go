@@ -496,6 +496,33 @@ func TestAdmitZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestGatewayTrackReuseZeroAlloc guards the per-request tracking path:
+// once compact has stocked the free list, a send, a hedge scan and the
+// completion that resolves the request allocate nothing.
+func TestGatewayTrackReuseZeroAlloc(t *testing.T) {
+	fab := &fakeFabric{picks: []int{1, 2}, bestUs: 100}
+	g := New(Config{}, testModels(), fab, nil)
+	id := uint64(0)
+	cycle := func() {
+		id++
+		now := sim.Time(id) * sim.Microsecond
+		g.OnPrimarySend(id, 0, 0, 1, now, now)
+		g.HedgeScan(now)
+		if !g.OnCompletion(id, 1, now+100, now+100) {
+			t.Fatalf("request %d: completion did not win", id)
+		}
+	}
+	for i := 0; i < 256; i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+		t.Fatalf("send/scan/complete cycle allocates %.2f/op, want 0", allocs)
+	}
+	if len(fab.sends) != 0 {
+		t.Fatalf("hedged a request that completed inside its delay: %+v", fab.sends)
+	}
+}
+
 func BenchmarkGatewayAdmission(b *testing.B) {
 	g := admissionBench()
 	b.ReportAllocs()

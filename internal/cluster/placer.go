@@ -1,7 +1,9 @@
 package cluster
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 
 	"krisp/internal/reconfig"
 	"krisp/internal/sched"
@@ -14,16 +16,32 @@ type slot struct {
 	node, gpu int
 }
 
+// gpuletKey is where a gpulet runs and what it serves. diff matches live
+// replicas against targets within groups of equal keys.
+type gpuletKey struct {
+	slot
+	model string
+	// role is the LLM serving role (LLMRoleMixed for classic models and
+	// non-disaggregated fleets).
+	role server.LLMRole
+}
+
+func (a gpuletKey) compare(b gpuletKey) int {
+	return cmp.Or(cmp.Compare(a.node, b.node), cmp.Compare(a.gpu, b.gpu),
+		strings.Compare(a.model, b.model), cmp.Compare(a.role, b.role))
+}
+
 // target is one desired gpulet after an epoch replan.
 type target struct {
-	model string
+	gpuletKey
 	batch int
 	cus   int
-	node  int
-	gpu   int
-	// role is the LLM serving role this gpulet is placed for
-	// (LLMRoleMixed for classic models and non-disaggregated fleets).
-	role server.LLMRole
+}
+
+// compareTargets orders targets by (key, cus): diff's group order, and
+// the order migrations apply in.
+func compareTargets(a, b target) int {
+	return cmp.Or(a.compare(b.gpuletKey), cmp.Compare(a.cus, b.cus))
 }
 
 // llmInst is one pre-sized LLM gpulet the autoscaler asks the placer to
@@ -44,8 +62,18 @@ type llmInst struct {
 // node fault strands all of a model's capacity. Dead nodes simply
 // contribute no slots, which is how a crashed node's replicas get
 // re-placed elsewhere at the next epoch.
+//
+// The placer owns its scratch, so a warm replan allocates nothing: what
+// place and diff return aliases it and is valid until the next call.
 type placer struct {
 	planner *sched.Planner
+
+	insts  []llmInst
+	free   []int
+	placed []target
+	live   []*replicaHandle
+	tgts   []target
+	acts   diffActions
 }
 
 // place sizes every demand at the forecast rates and spreads the resulting
@@ -56,29 +84,24 @@ type placer struct {
 // It returns the placed targets and the count of gpulets that did not fit
 // (unplaced demand the router will shed).
 func (p *placer) place(demands []sched.Demand, llmInsts []llmInst, slots []slot) (placed []target, unplaced int) {
+	placed = p.placed[:0]
 	if len(slots) == 0 || (len(demands) == 0 && len(llmInsts) == 0) {
-		return nil, 0
+		return placed, 0
 	}
-	insts := append([]llmInst(nil), llmInsts...)
+	insts := append(p.insts[:0], llmInsts...)
 	for _, d := range demands {
 		s := p.planner.Sizing(d.Model, d.Batch, d.RatePerSec)
 		for i := 0; i < s.Instances; i++ {
 			insts = append(insts, llmInst{model: d.Model.Name, batch: d.Batch, cus: s.CUs})
 		}
 	}
-	sort.SliceStable(insts, func(i, j int) bool {
-		if insts[i].cus != insts[j].cus {
-			return insts[i].cus > insts[j].cus
-		}
-		if insts[i].model != insts[j].model {
-			return insts[i].model < insts[j].model
-		}
-		return insts[i].role < insts[j].role
+	slices.SortStableFunc(insts, func(a, b llmInst) int {
+		return cmp.Or(cmp.Compare(b.cus, a.cus), strings.Compare(a.model, b.model), cmp.Compare(a.role, b.role))
 	})
 
-	free := make([]int, len(slots))
-	for i := range free {
-		free[i] = p.planner.TotalCUs()
+	free := p.free[:0]
+	for range slots {
+		free = append(free, p.planner.TotalCUs())
 	}
 	for _, in := range insts {
 		best := -1
@@ -93,16 +116,17 @@ func (p *placer) place(demands []sched.Demand, llmInsts []llmInst, slots []slot)
 		}
 		free[best] -= in.cus
 		placed = append(placed, target{
-			model: in.model, batch: in.batch, cus: in.cus,
-			node: slots[best].node, gpu: slots[best].gpu, role: in.role,
+			gpuletKey: gpuletKey{slot: slots[best], model: in.model, role: in.role},
+			batch:     in.batch,
+			cus:       in.cus,
 		})
 	}
+	p.insts, p.free, p.placed = insts, free, placed
 	return placed, unplaced
 }
 
 // diffActions is the migration bill of applying one epoch's placement.
 type diffActions struct {
-	keep    []*replicaHandle
 	resize  []resizeAction // drain old, spawn same slot at new size (free)
 	migrate []target       // spawn on a new slot (model load paid)
 	drain   []*replicaHandle
@@ -114,98 +138,81 @@ type resizeAction struct {
 }
 
 // diff matches the current live replica set against the placed targets.
-// Matching is per (node, gpu, model): equal-size pairs are kept, unequal
-// pairs become in-place resizes (free for kernel-scoped instances — the
-// next kernel simply right-sizes into the new budget), unmatched targets
-// are migrations (the model must load onto that GPU), and unmatched
-// replicas drain.
-func diff(current []*replicaHandle, targets []target) diffActions {
-	type key struct {
-		node, gpu int
-		model     string
-		role      server.LLMRole
-	}
-	curByKey := make(map[key][]*replicaHandle)
+// Matching is per (node, gpu, model, role) group: equal-size pairs are
+// kept, unequal pairs become in-place resizes (free for kernel-scoped
+// instances — the next kernel simply right-sizes into the new budget),
+// unmatched targets are migrations (the model must load onto that GPU),
+// and unmatched replicas drain.
+//
+// It is a sort-merge: live replicas sorted by (key, cus, id) and targets
+// stably by (key, cus) are walked group by group in key order. Within a
+// group both sides ascend in size, so exact sizes pair first by two
+// pointers, and the leftovers pair up in order as resizes.
+func (p *placer) diff(current []*replicaHandle, targets []target) diffActions {
+	live := p.live[:0]
 	for _, h := range current {
-		if h.dead || h.draining {
-			continue
+		if !h.dead && !h.draining {
+			live = append(live, h)
 		}
-		k := key{h.node, h.gpu, h.model, h.role}
-		curByKey[k] = append(curByKey[k], h)
 	}
-	tgtByKey := make(map[key][]target)
-	for _, t := range targets {
-		k := key{t.node, t.gpu, t.model, t.role}
-		tgtByKey[k] = append(tgtByKey[k], t)
-	}
-
-	var acts diffActions
-	for k, tgts := range tgtByKey {
-		curs := curByKey[k]
-		delete(curByKey, k)
-		// Deterministic matching: ascending CU size on both sides; exact
-		// sizes pair first, leftovers pair up as resizes.
-		sort.SliceStable(tgts, func(i, j int) bool { return tgts[i].cus < tgts[j].cus })
-		sort.SliceStable(curs, func(i, j int) bool {
-			if curs[i].cus != curs[j].cus {
-				return curs[i].cus < curs[j].cus
-			}
-			return curs[i].id < curs[j].id
-		})
-		usedCur := make([]bool, len(curs))
-		usedTgt := make([]bool, len(tgts))
-		for ti, t := range tgts {
-			for ci, c := range curs {
-				if !usedCur[ci] && c.cus == t.cus {
-					usedCur[ci] = true
-					usedTgt[ti] = true
-					acts.keep = append(acts.keep, c)
-					break
-				}
-			}
-		}
-		var freeCur []*replicaHandle
-		for ci, c := range curs {
-			if !usedCur[ci] {
-				freeCur = append(freeCur, c)
-			}
-		}
-		for ti, t := range tgts {
-			if usedTgt[ti] {
-				continue
-			}
-			if len(freeCur) > 0 {
-				acts.resize = append(acts.resize, resizeAction{old: freeCur[0], to: t})
-				freeCur = freeCur[1:]
-			} else {
-				acts.migrate = append(acts.migrate, t)
-			}
-		}
-		acts.drain = append(acts.drain, freeCur...)
-	}
-	for _, curs := range curByKey {
-		acts.drain = append(acts.drain, curs...)
-	}
-	// Deterministic apply order regardless of map iteration.
-	sort.SliceStable(acts.keep, func(i, j int) bool { return acts.keep[i].id < acts.keep[j].id })
-	sort.SliceStable(acts.drain, func(i, j int) bool { return acts.drain[i].id < acts.drain[j].id })
-	sort.SliceStable(acts.resize, func(i, j int) bool { return acts.resize[i].old.id < acts.resize[j].old.id })
-	sort.SliceStable(acts.migrate, func(i, j int) bool {
-		a, b := acts.migrate[i], acts.migrate[j]
-		if a.node != b.node {
-			return a.node < b.node
-		}
-		if a.gpu != b.gpu {
-			return a.gpu < b.gpu
-		}
-		if a.model != b.model {
-			return a.model < b.model
-		}
-		if a.role != b.role {
-			return a.role < b.role
-		}
-		return a.cus < b.cus
+	slices.SortFunc(live, func(a, b *replicaHandle) int {
+		return cmp.Or(a.compare(b.gpuletKey), cmp.Compare(a.cus, b.cus), cmp.Compare(a.id, b.id))
 	})
+	tgts := append(p.tgts[:0], targets...)
+	slices.SortStableFunc(tgts, compareTargets)
+
+	acts := diffActions{resize: p.acts.resize[:0], migrate: p.acts.migrate[:0], drain: p.acts.drain[:0]}
+	for i, j := 0, 0; i < len(live) || j < len(tgts); {
+		var k gpuletKey
+		if j == len(tgts) || (i < len(live) && live[i].compare(tgts[j].gpuletKey) <= 0) {
+			k = live[i].gpuletKey
+		} else {
+			k = tgts[j].gpuletKey
+		}
+		ie, je := i, j
+		for ie < len(live) && live[ie].gpuletKey == k {
+			ie++
+		}
+		for je < len(tgts) && tgts[je].gpuletKey == k {
+			je++
+		}
+		acts = match(acts, live[i:ie], tgts[j:je])
+		i, j = ie, je
+	}
+	// Groups ran in key order and each group's leftover targets in size
+	// order, so migrate is already in (key, cus) order.
+	slices.SortFunc(acts.drain, func(a, b *replicaHandle) int { return cmp.Compare(a.id, b.id) })
+	slices.SortFunc(acts.resize, func(a, b resizeAction) int { return cmp.Compare(a.old.id, b.old.id) })
+	p.live, p.tgts, p.acts = live, tgts, acts
+	return acts
+}
+
+// match bills one group's replicas and targets, both ascending in size.
+// It moves each side's unmatched entries, in order, to the front of its
+// slice (diff's scratch) and pairs them up from there.
+func match(acts diffActions, curs []*replicaHandle, tgts []target) diffActions {
+	a, b, spare, pending := 0, 0, 0, 0
+	for a < len(curs) && b < len(tgts) {
+		switch {
+		case curs[a].cus == tgts[b].cus: // kept as is
+			a++
+			b++
+		case curs[a].cus < tgts[b].cus:
+			curs[spare] = curs[a]
+			spare, a = spare+1, a+1
+		default:
+			tgts[pending] = tgts[b]
+			pending, b = pending+1, b+1
+		}
+	}
+	spare += copy(curs[spare:], curs[a:])
+	pending += copy(tgts[pending:], tgts[b:])
+	n := min(spare, pending)
+	for x := 0; x < n; x++ {
+		acts.resize = append(acts.resize, resizeAction{old: curs[x], to: tgts[x]})
+	}
+	acts.migrate = append(acts.migrate, tgts[n:pending]...)
+	acts.drain = append(acts.drain, curs[n:spare]...)
 	return acts
 }
 

@@ -67,19 +67,14 @@ func PolicyByName(name string) (Policy, error) {
 // mid-advancement, so how far each node's clock has run cannot change a
 // decision.
 type replicaHandle struct {
-	id        int // stable fleet-wide creation order
-	node, gpu int
-	nodeRef   *fleetNode
-	model     string
-	cus       int
-	rep       *server.Replica
-	readyAt   sim.Time
-	draining  bool
-	dead      bool
-
-	// role is the replica's LLM serving role; LLMRoleMixed (zero) for
-	// classic models and non-disaggregated LLM fleets.
-	role server.LLMRole
+	id int // stable fleet-wide creation order
+	gpuletKey
+	nodeRef  *fleetNode
+	cus      int
+	rep      *server.Replica
+	readyAt  sim.Time
+	draining bool
+	dead     bool
 
 	// breaker is the replica's circuit breaker when a gateway fronts the
 	// fleet; nil otherwise (and nil always allows).

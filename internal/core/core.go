@@ -391,11 +391,15 @@ func (rt *Runtime) onFaultFor(seq int, d *kernels.Desc, partition, attempt int, 
 	}
 }
 
+// submitAttempt dispatches one attempt. Only a kernel something waits on
+// (a trace record or onDone) leases a completion signal; the rest of a
+// sequence dispatches with a null one, as AQL allows.
 func (rt *Runtime) submitAttempt(seq int, d *kernels.Desc, partition, attempt int, rec *traceRec, onDone func()) {
-	sig := rt.cp.GetSignal(1)
+	var sig *hsa.Signal
 	onFault := rt.onFaultFor(seq, d, partition, attempt, rec, onDone)
 	var onDispatch func(gpu.CUMask)
 	if rt.cfg.Trace != nil {
+		sig = rt.cp.GetSignal(1)
 		var start sim.Time
 		var granted gpu.CUMask
 		name, wgs := d.Name, d.Work.Workgroups
@@ -427,6 +431,7 @@ func (rt *Runtime) submitAttempt(seq int, d *kernels.Desc, partition, attempt in
 			granted = mask
 		}
 	} else if onDone != nil {
+		sig = rt.cp.GetSignal(1)
 		sig.OnDone(onDone)
 	}
 	rt.queue.SubmitDispatch(d, partition, rt.cfg.OverlapLimit, sig, onFault, onDispatch)

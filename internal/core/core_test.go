@@ -317,3 +317,32 @@ func TestLaunchKernelZeroAlloc(t *testing.T) {
 		}
 	}
 }
+
+// TestSequenceLeasesOneSignal checks that only kernels something waits on
+// carry a completion signal: an untraced sequence leases one, for the
+// final kernel's onDone, and a traced one leases one per kernel for its
+// trace records. Every lease is back in the pool once the sequence ends.
+func TestSequenceLeasesOneSignal(t *testing.T) {
+	descs := append(twoKernels(), twoKernels()...)
+	for _, traced := range []bool{false, true} {
+		s := newStack(t, descs, true)
+		cfg := Config{Mode: ModeNative}
+		want := 1
+		if traced {
+			cfg.Trace = &trace.Trace{}
+			want = len(descs)
+		}
+		done := false
+		s.runtime(cfg).RunSequence(descs, func() { done = true })
+		if got := s.cp.LeasedSignals(); got != want {
+			t.Errorf("traced=%v: %d signals leased for a %d-kernel sequence, want %d", traced, got, len(descs), want)
+		}
+		s.eng.Run()
+		if !done {
+			t.Fatalf("traced=%v: sequence never completed", traced)
+		}
+		if got := s.cp.LeasedSignals(); got != 0 {
+			t.Errorf("traced=%v: %d signals still leased after the sequence, want 0", traced, got)
+		}
+	}
+}

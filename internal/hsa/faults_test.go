@@ -190,6 +190,35 @@ func TestTransientKernelFailureRoutesToOnFault(t *testing.T) {
 	}
 }
 
+// TestFaultedDispatchRecyclesSignal checks that a dispatch routed to its
+// OnFault handler returns its pooled completion signal: the fault route
+// never completes it, so without the recycle every fault would pin one
+// signal until Reset, and fleet nodes never reset.
+func TestFaultedDispatchRecyclesSignal(t *testing.T) {
+	eng, _, cp := newStack(false)
+	q := cp.NewQueue()
+	cp.SetFaults(&stubHook{kernelFail: true, stretch: 1})
+
+	d := oneWave()
+	faults := 0
+	onFault := func() { faults++ }
+	for i := 0; i < 1000; i++ {
+		sig := cp.GetSignal(1)
+		sig.OnDone(func() { t.Fatal("faulted dispatch completed its signal") })
+		q.SubmitDispatch(&d, 0, 0, sig, onFault, nil)
+		eng.Run()
+	}
+	if faults != 1000 {
+		t.Fatalf("OnFault ran %d times, want 1000", faults)
+	}
+	if got := cp.LeasedSignals(); got != 0 {
+		t.Fatalf("%d signals still leased after 1000 faulted dispatches, want 0", got)
+	}
+	if len(cp.sigAll) != 1 {
+		t.Fatalf("signal population grew to %d over sequential faults, want 1", len(cp.sigAll))
+	}
+}
+
 func TestTransientFailureWithoutHandlerIsSwallowed(t *testing.T) {
 	eng, _, cp := newStack(false)
 	q := cp.NewQueue()

@@ -322,9 +322,9 @@ func (cp *CommandProcessor) GenerateKernelMask(req alloc.Request) gpu.CUMask {
 // (allocating one when the list is empty). The signal returns itself to
 // the pool as soon as it completes and its waiters have run, so it must
 // not be observed (Done/Value/OnDone) after completion — the pattern of a
-// kernel completion signal, whose last act is firing its waiters. Signals
-// that never complete (a faulted dispatch routed to OnFault) simply fall
-// to the garbage collector; the pool is a cache, not an accounting ledger.
+// kernel completion signal, whose last act is firing its waiters. A
+// dispatch that faults to its OnFault handler never completes its signal;
+// the queue returns that lease to the pool instead, dropping its waiters.
 func (cp *CommandProcessor) GetSignal(initial int) *Signal {
 	s := cp.leaseSignal(initial)
 	s.auto = true
@@ -367,6 +367,12 @@ func (cp *CommandProcessor) leaseSignal(initial int) *Signal {
 	s.overruns = 0
 	return s
 }
+
+// LeasedSignals returns how many pooled signals are out on lease: every
+// signal this processor allocated that is not on its free list. A
+// quiescent processor holds none once every lease completed, faulted or
+// was returned with PutSignal.
+func (cp *CommandProcessor) LeasedSignals() int { return len(cp.sigAll) - len(cp.sigFree) }
 
 func (cp *CommandProcessor) putSignal(s *Signal) {
 	s.waiters = s.waiters[:0]
@@ -729,9 +735,12 @@ func (q *Queue) SubmitKernelScoped(d kernels.Desc, partitionCUs, overlapLimit in
 	q.submitKernel(&d, partitionCUs, overlapLimit, onDone)
 }
 
+// submitKernel leases a completion signal only when onDone waits on it;
+// otherwise the packet carries a null one, as AQL allows.
 func (q *Queue) submitKernel(d *kernels.Desc, cus, limit int, onDone func()) {
-	sig := q.cp.GetSignal(1)
+	var sig *Signal
 	if onDone != nil {
+		sig = q.cp.GetSignal(1)
 		sig.OnDone(onDone)
 	}
 	q.SubmitDispatch(d, cus, limit, sig, nil, nil)
@@ -871,6 +880,11 @@ func (q *Queue) kernelDone() {
 	q.retire()
 	q.curFaulted = false
 	if faulted && onFault != nil {
+		// The fault route never completes the signal: return an
+		// auto-recycled lease here, or it stays out until Reset.
+		if completion != nil && completion.auto && completion.pool == q.cp {
+			q.cp.putSignal(completion)
+		}
 		onFault()
 	} else if completion != nil {
 		completion.Complete()

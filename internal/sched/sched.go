@@ -87,8 +87,18 @@ type Planner struct {
 	SLOFactor float64
 	// sweeps caches per model/batch latency curves; llmSizings caches
 	// per-phase LLM right-sizing decisions.
-	sweeps     map[string][]profile.SweepPoint
-	llmSizings map[string]LLMSizing
+	sweeps     map[sweepKey][]profile.SweepPoint
+	llmSizings map[llmSizingKey]LLMSizing
+}
+
+type sweepKey struct {
+	model string
+	batch int
+}
+
+type llmSizingKey struct {
+	model                         string
+	avgPrompt, avgOutput, maxSeqs int
 }
 
 // NewPlanner creates a planner over the given profiling configuration.
@@ -97,12 +107,12 @@ func NewPlanner(cfg profile.Config) *Planner {
 		prof:      profile.New(cfg),
 		totalCUs:  cfg.Spec.Topo.TotalCUs(),
 		SLOFactor: 2,
-		sweeps:    make(map[string][]profile.SweepPoint),
+		sweeps:    make(map[sweepKey][]profile.SweepPoint),
 	}
 }
 
 func (p *Planner) sweep(m models.Model, batch int) []profile.SweepPoint {
-	key := fmt.Sprintf("%s/%d", m.Name, batch)
+	key := sweepKey{m.Name, batch}
 	if s, ok := p.sweeps[key]; ok {
 		return s
 	}
@@ -118,11 +128,6 @@ func (p *Planner) InstanceRPS(m models.Model, batch, n int) float64 {
 	s := p.sweep(m, batch)
 	lat := float64(s[n-1].Latency) // microseconds per batch
 	return float64(batch) / lat * 1e6
-}
-
-// instanceRPS is the historical internal spelling.
-func (p *Planner) instanceRPS(m models.Model, batch, n int) float64 {
-	return p.InstanceRPS(m, batch, n)
 }
 
 // SLOLatency returns the model's SLO target: SLOFactor times the isolated
@@ -254,7 +259,7 @@ func (p *Planner) LLMSizing(m llm.Model, avgPrompt, avgOutput, maxSeqs int) LLMS
 	if maxSeqs < 1 {
 		maxSeqs = 8
 	}
-	key := fmt.Sprintf("%s/%d/%d/%d", m.Name, avgPrompt, avgOutput, maxSeqs)
+	key := llmSizingKey{m.Name, avgPrompt, avgOutput, maxSeqs}
 	if s, ok := p.llmSizings[key]; ok {
 		return s
 	}
@@ -277,7 +282,7 @@ func (p *Planner) LLMSizing(m llm.Model, avgPrompt, avgOutput, maxSeqs int) LLMS
 		sz.DecodeTokPS = float64(maxSeqs) * 1e6 / float64(sz.DecodeStepLatency)
 	}
 	if p.llmSizings == nil {
-		p.llmSizings = make(map[string]LLMSizing)
+		p.llmSizings = make(map[llmSizingKey]LLMSizing)
 	}
 	p.llmSizings[key] = sz
 	return sz
@@ -299,7 +304,7 @@ func (p *Planner) Plan(demands []Demand, maxGPUs int) Plan {
 				Model:       d.Model.Name,
 				Batch:       batch,
 				CUs:         cus,
-				ExpectedRPS: p.instanceRPS(d.Model, batch, cus),
+				ExpectedRPS: p.InstanceRPS(d.Model, batch, cus),
 			})
 		}
 	}

@@ -33,7 +33,7 @@ func TestSizeForGrowsWithRate(t *testing.T) {
 			t.Errorf("total CUs shrank as rate grew: %d*%d then %d*%d", prevInst, prevCUs, inst, cus)
 		}
 		// The sized deployment really sustains the rate.
-		if got := float64(inst) * p.instanceRPS(m, 32, cus); got < rate {
+		if got := float64(inst) * p.InstanceRPS(m, 32, cus); got < rate {
 			t.Errorf("rate %.0f: sized deployment only sustains %.0f", rate, got)
 		}
 		prevCUs, prevInst = cus, inst
