@@ -908,6 +908,11 @@ func (f *Fleet) finish() {
 			f.res.Preemptions += h.rep.Stats().Preempted
 		}
 	}
+	total := 0
+	for _, m := range f.router.models {
+		total += m.latency.Len()
+	}
+	f.res.Latency.Grow(total)
 	for _, m := range f.router.models {
 		// Requests still queued at the end never completed; count them
 		// rejected so totals balance. Handoffs still in transit were
@@ -951,5 +956,15 @@ func (f *Fleet) finish() {
 	}
 }
 
-// Run builds and executes a fleet experiment in one call.
-func Run(cfg Config) *Result { return New(cfg).Run() }
+// Run builds and executes a fleet experiment in one call. Nothing outlives
+// the call but the Result, so the nodes are released afterwards for the
+// next fleet (or server.Run) to reuse; a Fleet built with New keeps its
+// nodes.
+func Run(cfg Config) *Result {
+	f := New(cfg)
+	res := f.Run()
+	for _, n := range f.nodes {
+		n.node.Release()
+	}
+	return res
+}

@@ -89,9 +89,11 @@ type Breaker struct {
 	openedUntil sim.Time
 	probesOut   int
 
-	// onTransition, when non-nil, observes every state change (telemetry
-	// and stats; it must not call back into the breaker).
-	onTransition func(from, to BreakerState)
+	// gw and replica, set by Gateway.AddReplica, name the gateway that
+	// accounts every state change (stats, telemetry, trace) and the
+	// replica the breaker guards; a standalone breaker has no gateway.
+	gw      *Gateway
+	replica int
 }
 
 // NewBreaker builds a closed breaker.
@@ -197,12 +199,18 @@ func (b *Breaker) push(failure bool) {
 }
 
 func (b *Breaker) transition(to BreakerState) {
-	from := b.state
 	b.state = to
 	// Every transition clears the window and probe count: each state
 	// reasons only about evidence gathered while in it.
 	b.n, b.next, b.failures, b.probesOut = 0, 0, 0, 0
-	if b.onTransition != nil {
-		b.onTransition(from, to)
+	if b.gw != nil {
+		b.gw.breakerTransition(b.replica, to)
 	}
+}
+
+// reset returns a parked breaker to the closed state NewBreaker builds,
+// keeping its config and window storage.
+func (b *Breaker) reset() {
+	clear(b.outcomes)
+	*b = Breaker{cfg: b.cfg, outcomes: b.outcomes}
 }

@@ -267,7 +267,8 @@ type Gateway struct {
 	classes  int
 	budget   Budget
 
-	breakers map[int]*Breaker // replica id -> breaker
+	breakers    map[int]*Breaker // replica id -> breaker
+	breakerFree []*Breaker       // removed replicas' breakers, reused by AddReplica
 
 	inflight []*track
 	byID     map[uint64]*track
@@ -467,33 +468,51 @@ func (g *Gateway) AddReplica(replica int) *Breaker {
 	if g.cfg.DisableBreakers {
 		return nil
 	}
-	b := NewBreaker(BreakerConfig{})
-	b.onTransition = func(_, to BreakerState) {
-		switch to {
-		case BreakerOpen:
-			g.stats.BreakerOpens++
-			g.tel.breakerOpen()
-			g.traceInstant("breaker-open", g.now, replica)
-		case BreakerHalfOpen:
-			g.stats.BreakerHalfOpens++
-			g.tel.breakerHalfOpen()
-			g.traceInstant("breaker-half-open", g.now, replica)
-		case BreakerClosed:
-			g.stats.BreakerCloses++
-			g.tel.breakerClose()
-			g.traceInstant("breaker-closed", g.now, replica)
-		}
+	var b *Breaker
+	if n := len(g.breakerFree); n > 0 {
+		b = g.breakerFree[n-1]
+		g.breakerFree[n-1] = nil
+		g.breakerFree = g.breakerFree[:n-1]
+		b.reset()
+	} else {
+		b = NewBreaker(BreakerConfig{})
 	}
+	b.gw, b.replica = g, replica
 	g.breakers[replica] = b
 	return b
 }
 
-// RemoveReplica forgets a drained or dead replica's breaker.
+// breakerTransition accounts one state change of replica's breaker.
+func (g *Gateway) breakerTransition(replica int, to BreakerState) {
+	switch to {
+	case BreakerOpen:
+		g.stats.BreakerOpens++
+		g.tel.breakerOpen()
+		g.traceInstant("breaker-open", g.now, replica)
+	case BreakerHalfOpen:
+		g.stats.BreakerHalfOpens++
+		g.tel.breakerHalfOpen()
+		g.traceInstant("breaker-half-open", g.now, replica)
+	case BreakerClosed:
+		g.stats.BreakerCloses++
+		g.tel.breakerClose()
+		g.traceInstant("breaker-closed", g.now, replica)
+	}
+}
+
+// RemoveReplica forgets a drained or dead replica's breaker and parks it
+// for a later AddReplica. Replica ids are never reused, so lookups for
+// the removed id find no breaker (a no-op) from here on.
 func (g *Gateway) RemoveReplica(replica int) {
-	if b := g.breakers[replica]; b != nil && b.State() == BreakerOpen {
+	b := g.breakers[replica]
+	if b == nil {
+		return
+	}
+	if b.State() == BreakerOpen {
 		g.tel.breakerGone()
 	}
 	delete(g.breakers, replica)
+	g.breakerFree = append(g.breakerFree, b)
 }
 
 // OnPrimarySend tracks a routed request and credits the hedge/retry

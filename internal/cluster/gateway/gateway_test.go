@@ -93,9 +93,9 @@ func TestTokenBucketReserve(t *testing.T) {
 }
 
 func TestBreakerTripsAndRecovers(t *testing.T) {
-	transitions := []BreakerState{}
+	g := New(Config{}, nil, nil, nil)
 	b := NewBreaker(BreakerConfig{Window: 8, MinVolume: 4, FailureRate: 0.5, Cooldown: sim.Millisecond, Probes: 1})
-	b.onTransition = func(_, to BreakerState) { transitions = append(transitions, to) }
+	b.gw, b.replica = g, 0
 
 	now := sim.Time(0)
 	// Three failures in a row: below MinVolume, must stay closed.
@@ -136,20 +136,20 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 	if !b.Allow(now) {
 		t.Fatal("second cooldown refused the probe")
 	}
+	if b.State() != BreakerHalfOpen {
+		t.Fatalf("want half-open, got %v", b.State())
+	}
 	b.OnSend()
 	b.Record(now, true)
 	if b.State() != BreakerClosed {
 		t.Fatalf("successful probe should close, got %v", b.State())
 	}
 
-	want := []BreakerState{BreakerOpen, BreakerHalfOpen, BreakerOpen, BreakerHalfOpen, BreakerClosed}
-	if len(transitions) != len(want) {
-		t.Fatalf("transitions %v, want %v", transitions, want)
-	}
-	for i := range want {
-		if transitions[i] != want[i] {
-			t.Fatalf("transitions %v, want %v", transitions, want)
-		}
+	// The state checks above pin the order (open, half-open, open,
+	// half-open, closed); the gateway must have accounted each one.
+	if s := g.stats; s.BreakerOpens != 2 || s.BreakerHalfOpens != 2 || s.BreakerCloses != 1 {
+		t.Fatalf("gateway saw %d opens, %d half-opens, %d closes; want 2, 2, 1",
+			s.BreakerOpens, s.BreakerHalfOpens, s.BreakerCloses)
 	}
 }
 
@@ -529,5 +529,44 @@ func BenchmarkGatewayAdmission(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.Admit(0, 0, 0, 0)
+	}
+}
+
+// TestRemovedBreakerIsReused: RemoveReplica parks the breaker and the next
+// AddReplica resets it — closed, empty window — and accounts its
+// transitions under the new replica, with no allocation per cycle.
+func TestRemovedBreakerIsReused(t *testing.T) {
+	g := New(Config{}, nil, nil, nil)
+	b := g.AddReplica(1)
+	for i := 0; i < 3; i++ {
+		b.Record(0, true)
+	}
+	b.Trip(0)
+	g.RemoveReplica(1)
+	if g.breakers[1] != nil {
+		t.Fatal("removed replica still has a breaker")
+	}
+	r := g.AddReplica(2)
+	if r != b {
+		t.Fatal("AddReplica built a new breaker while one was parked")
+	}
+	if r.State() != BreakerClosed || r.n != 0 || r.failures != 0 || r.probesOut != 0 || r.replica != 2 {
+		t.Fatalf("reused breaker not reset: %+v", *r)
+	}
+	opens := g.stats.BreakerOpens
+	cfg := r.cfg
+	for i := 0; i < cfg.MinVolume; i++ {
+		r.Record(0, false)
+	}
+	if r.State() != BreakerOpen || g.stats.BreakerOpens != opens+1 {
+		t.Fatalf("reused breaker: state %v, opens %d -> %d", r.State(), opens, g.stats.BreakerOpens)
+	}
+	id := 2
+	if allocs := testing.AllocsPerRun(100, func() {
+		g.RemoveReplica(id)
+		id++
+		g.AddReplica(id)
+	}); allocs != 0 {
+		t.Fatalf("remove/add cycle allocates %.1f/op", allocs)
 	}
 }

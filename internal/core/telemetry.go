@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	tele "krisp/internal/telemetry"
 )
 
@@ -26,25 +24,41 @@ type Telemetry struct {
 	pid    int
 }
 
+// runtimeSeries names the runtime metrics of every GPU index, in the order
+// Bind reads them.
+var runtimeSeries = tele.NewSeriesNames("gpu",
+	"krisp_core_rightsize_decisions_total", "krisp_core_partition_cus",
+	"krisp_core_ladder_widenings_total", "krisp_core_ladder_tightenings_total",
+	"krisp_core_kernel_retries_total", "krisp_core_kernels_abandoned_total")
+
 // NewTelemetry resolves the runtime metric handles for GPU index gpu
 // against the hub. Returns nil when the hub carries no registry. Runtimes
 // sharing a GPU share the handles (the registry is get-or-register).
 func NewTelemetry(hub *tele.Hub, gpu int) *Telemetry {
+	return new(Telemetry).Bind(hub, gpu)
+}
+
+// Bind re-resolves t's handles for GPU index gpu against hub and returns
+// t, or returns nil when the hub carries no registry (t may then be nil). The series names are
+// built once per index, so rebinding a pooled runtime's Telemetry costs
+// registry lookups only.
+func (t *Telemetry) Bind(hub *tele.Hub, gpu int) *Telemetry {
 	reg := hub.Registry()
 	if reg == nil {
 		return nil
 	}
-	lbl := fmt.Sprintf(`{gpu="%d"}`, gpu)
-	return &Telemetry{
-		Decisions:    reg.Counter("krisp_core_rightsize_decisions_total"+lbl, "kernel-wise right-sizing decisions"),
-		PartitionCUs: reg.Histogram("krisp_core_partition_cus"+lbl, "decided partition sizes (CUs)", tele.CUBuckets()),
-		Widenings:    reg.Counter("krisp_core_ladder_widenings_total"+lbl, "degradation-ladder steps toward wider masks"),
-		Tightenings:  reg.Counter("krisp_core_ladder_tightenings_total"+lbl, "degradation-ladder steps back toward kernel scoping"),
-		Retries:      reg.Counter("krisp_core_kernel_retries_total"+lbl, "kernel relaunches after transient failures"),
-		Abandoned:    reg.Counter("krisp_core_kernels_abandoned_total"+lbl, "kernels abandoned past the retry bound"),
+	names := runtimeSeries.For(gpu)
+	*t = Telemetry{
+		Decisions:    reg.Counter(names[0], "kernel-wise right-sizing decisions"),
+		PartitionCUs: reg.Histogram(names[1], "decided partition sizes (CUs)", tele.CUBuckets()),
+		Widenings:    reg.Counter(names[2], "degradation-ladder steps toward wider masks"),
+		Tightenings:  reg.Counter(names[3], "degradation-ladder steps back toward kernel scoping"),
+		Retries:      reg.Counter(names[4], "kernel relaunches after transient failures"),
+		Abandoned:    reg.Counter(names[5], "kernels abandoned past the retry bound"),
 		tracer:       hub.Trace(),
 		pid:          gpu,
 	}
+	return t
 }
 
 // noteDecision records one right-sizing decision of size CUs on queue tid.

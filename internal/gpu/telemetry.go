@@ -30,27 +30,42 @@ type Telemetry struct {
 	seVals  []float64 // scratch reused across counter events
 }
 
+// deviceSeries names the device metrics of every GPU index, in the order
+// Bind reads them.
+var deviceSeries = tele.NewSeriesNames("gpu",
+	"krisp_gpu_busy_cus", "krisp_gpu_healthy_cus", "krisp_gpu_running_kernels",
+	"krisp_gpu_launches_total", "krisp_gpu_cu_kills_total")
+
 // NewTelemetry resolves the device metric handles for GPU index gpu against
 // the hub. Returns nil (telemetry fully disabled) when the hub carries no
 // registry. The gpu index becomes both the metric label and the trace pid.
 func NewTelemetry(hub *tele.Hub, topo Topology, gpu int) *Telemetry {
+	return new(Telemetry).Bind(hub, topo, gpu)
+}
+
+// Bind re-resolves t's handles for GPU index gpu against hub and returns
+// t, or returns nil — telemetry off — when the hub carries no registry (t
+// may then be nil). A
+// pooled device stack keeps its Telemetry and rebinds it every run, which
+// costs registry lookups only: the series names are built once per index.
+func (t *Telemetry) Bind(hub *tele.Hub, topo Topology, gpu int) *Telemetry {
 	reg := hub.Registry()
 	if reg == nil {
 		return nil
 	}
-	lbl := fmt.Sprintf(`{gpu="%d"}`, gpu)
-	t := &Telemetry{
-		BusyCUs:        reg.Gauge("krisp_gpu_busy_cus"+lbl, "CUs with at least one kernel assigned"),
-		HealthyCUs:     reg.Gauge("krisp_gpu_healthy_cus"+lbl, "CUs still in service (health bitmap)"),
-		RunningKernels: reg.Gauge("krisp_gpu_running_kernels"+lbl, "kernels currently executing"),
-		Launches:       reg.Counter("krisp_gpu_launches_total"+lbl, "kernel executions started"),
-		CUKills:        reg.Counter("krisp_gpu_cu_kills_total"+lbl, "CUs permanently removed from service"),
+	names := deviceSeries.For(gpu)
+	*t = Telemetry{
+		BusyCUs:        reg.Gauge(names[0], "CUs with at least one kernel assigned"),
+		HealthyCUs:     reg.Gauge(names[1], "CUs still in service (health bitmap)"),
+		RunningKernels: reg.Gauge(names[2], "kernels currently executing"),
+		Launches:       reg.Counter(names[3], "kernel executions started"),
+		CUKills:        reg.Counter(names[4], "CUs permanently removed from service"),
 		tracer:         hub.Trace(),
 		pid:            gpu,
-		ctrName:        fmt.Sprintf("gpu%d_se_busy_cus", gpu),
 	}
 	t.HealthyCUs.Set(int64(topo.TotalCUs()))
 	if t.tracer != nil {
+		t.ctrName = fmt.Sprintf("gpu%d_se_busy_cus", gpu)
 		t.tracer.NameProcess(gpu, fmt.Sprintf("gpu%d", gpu))
 		t.seKeys = make([]string, topo.NumSEs)
 		t.seVals = make([]float64, topo.NumSEs)

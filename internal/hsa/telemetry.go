@@ -32,24 +32,39 @@ type Telemetry struct {
 	pid    int
 }
 
+// processorSeries names the HSA metrics of every GPU index, in the order
+// Bind reads them.
+var processorSeries = tele.NewSeriesNames("gpu",
+	"krisp_hsa_dispatches_total", "krisp_hsa_barriers_total", "krisp_hsa_ioctls_total",
+	"krisp_hsa_queue_depth", "krisp_hsa_dispatch_wait_us", "krisp_hsa_ioctl_latency_us")
+
 // NewTelemetry resolves the HSA metric handles for GPU index gpu against
 // the hub. Returns nil when the hub carries no registry.
 func NewTelemetry(hub *tele.Hub, gpu int) *Telemetry {
+	return new(Telemetry).Bind(hub, gpu)
+}
+
+// Bind re-resolves t's handles for GPU index gpu against hub and returns
+// t, or returns nil when the hub carries no registry (t may then be nil). Rebinding a pooled
+// processor's Telemetry costs registry lookups only: the series names are
+// built once per index.
+func (t *Telemetry) Bind(hub *tele.Hub, gpu int) *Telemetry {
 	reg := hub.Registry()
 	if reg == nil {
 		return nil
 	}
-	lbl := fmt.Sprintf(`{gpu="%d"}`, gpu)
-	return &Telemetry{
-		Dispatches:   reg.Counter("krisp_hsa_dispatches_total"+lbl, "kernel packets dispatched to the device"),
-		Barriers:     reg.Counter("krisp_hsa_barriers_total"+lbl, "barrier-AND packets consumed"),
-		IOCTLs:       reg.Counter("krisp_hsa_ioctls_total"+lbl, "CU-mask IOCTL syscalls issued"),
-		QueueDepth:   reg.Gauge("krisp_hsa_queue_depth"+lbl, "packets waiting across all queues"),
-		DispatchWait: reg.Histogram("krisp_hsa_dispatch_wait_us"+lbl, "doorbell-to-dispatch latency (virtual us)", tele.LatencyBucketsUs()),
-		IOCTLLatency: reg.Histogram("krisp_hsa_ioctl_latency_us"+lbl, "observed CU-mask IOCTL latency incl. serialization (virtual us)", tele.LatencyBucketsUs()),
+	names := processorSeries.For(gpu)
+	*t = Telemetry{
+		Dispatches:   reg.Counter(names[0], "kernel packets dispatched to the device"),
+		Barriers:     reg.Counter(names[1], "barrier-AND packets consumed"),
+		IOCTLs:       reg.Counter(names[2], "CU-mask IOCTL syscalls issued"),
+		QueueDepth:   reg.Gauge(names[3], "packets waiting across all queues"),
+		DispatchWait: reg.Histogram(names[4], "doorbell-to-dispatch latency (virtual us)", tele.LatencyBucketsUs()),
+		IOCTLLatency: reg.Histogram(names[5], "observed CU-mask IOCTL latency incl. serialization (virtual us)", tele.LatencyBucketsUs()),
 		tracer:       hub.Trace(),
 		pid:          gpu,
 	}
+	return t
 }
 
 // SetTelemetry installs (or removes, with nil) the processor's telemetry.

@@ -5,6 +5,7 @@ package metrics
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -22,6 +23,10 @@ func (s *Sample) Add(v float64) {
 	s.values = append(s.values, v)
 	s.sorted = nil
 }
+
+// Grow makes room for n more observations, so the next n Adds do not
+// reallocate.
+func (s *Sample) Grow(n int) { s.values = slices.Grow(s.values, n) }
 
 // Len returns the number of observations.
 func (s *Sample) Len() int { return len(s.values) }

@@ -21,7 +21,9 @@ package models
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 
 	"krisp/internal/gpu"
 	"krisp/internal/kernels"
@@ -46,16 +48,54 @@ type Model struct {
 	// PaperP95Ms is the isolated 95% tail latency Table III reports.
 	PaperP95Ms float64
 
+	// recipe is the model's sequence builder and its memo. Copies of a
+	// Model share it, so a sequence's identity is its recipe, never its
+	// name: two Custom models may share a name and still differ.
+	recipe *recipe
+}
+
+// recipe pairs a kernel-sequence builder with the sequences it has built,
+// one per batch size. The memo is process-wide and guarded by a mutex,
+// because grid harnesses serve cells on several goroutines at once.
+type recipe struct {
 	build func(batch int) []kernels.Desc
+
+	mu   sync.Mutex
+	seqs map[int][]kernels.Desc
 }
 
 // Kernels returns the kernel-call sequence for one inference pass at the
-// given batch size. Batch must be positive.
+// given batch size, as a fresh slice the caller owns. Batch must be
+// positive.
 func (m Model) Kernels(batch int) []kernels.Desc {
+	return slices.Clone(m.Sequence(batch))
+}
+
+// Sequence returns the recipe's memoized kernel-call sequence for one
+// inference pass at the given batch size, building it on first use. The
+// slice is shared by every caller for the life of the process and must
+// not be modified; its capacity equals its length, so appending to it
+// copies. Batch must be positive.
+func (m Model) Sequence(batch int) []kernels.Desc {
 	if batch < 1 {
 		panic(fmt.Sprintf("models: batch %d", batch))
 	}
-	return m.build(batch)
+	r := m.recipe
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	ks, ok := r.seqs[batch]
+	if !ok {
+		// A private copy made with make has cap == len and cannot alias
+		// anything the builder keeps.
+		built := r.build(batch)
+		ks = make([]kernels.Desc, len(built))
+		copy(ks, built)
+		if r.seqs == nil {
+			r.seqs = make(map[int][]kernels.Desc)
+		}
+		r.seqs[batch] = ks
+	}
+	return ks
 }
 
 // All lists every workload, in the paper's Table III order, with
@@ -84,7 +124,7 @@ func Custom(name string, rightSize int, build func(batch int) []kernels.Desc) Mo
 	if build == nil {
 		panic("models: Custom requires a build func")
 	}
-	return Model{Name: name, PaperRightSize: rightSize, build: build}
+	return Model{Name: name, PaperRightSize: rightSize, recipe: &recipe{build: build}}
 }
 
 // ByName returns the model with the given name.
@@ -195,7 +235,7 @@ func (s *seq) add(ds ...kernels.Desc) { s.ks = append(s.ks, ds...) }
 // full-GPU spike, plus normalization and pointwise helpers.
 var albert = Model{
 	Name: "albert", PaperKernels: 304, PaperRightSize: 12, PaperP95Ms: 27,
-	build: func(b int) []kernels.Desc {
+	recipe: &recipe{build: func(b int) []kernels.Desc {
 		var s seq
 		s.add(kernels.Embedding(scale(32*128, b), 768))
 		for layer := 0; layer < 12; layer++ {
@@ -224,14 +264,14 @@ var albert = Model{
 			dom(kernels.FamilyGEMMSmall+"_classifier", 8, 120, b),
 		)
 		return s.ks
-	},
+	}},
 }
 
 // alexnet: 34 kernels, right-size 45, p95 ~91ms. Five fat convolutions
 // dominate; classifier GEMMs and pointwise helpers fill the rest.
 var alexnet = Model{
 	Name: "alexnet", PaperKernels: 34, PaperRightSize: 45, PaperP95Ms: 91,
-	build: func(b int) []kernels.Desc {
+	recipe: &recipe{build: func(b int) []kernels.Desc {
 		var s seq
 		// One conv pins the kneepoint at 45; the rest saturate at modest
 		// occupancy, so restriction degrades gracefully — the
@@ -262,14 +302,14 @@ var alexnet = Model{
 			s.add(tiny(fmt.Sprintf("%s_bias%d", kernels.FamilyElementwise, i), b))
 		}
 		return s.ks
-	},
+	}},
 }
 
 // densenet201: 711 kernels, right-size 32, p95 ~72ms. 98 dense layers of
 // bn-relu-conv1x1-bn-relu-conv3x3-concat, three transitions, stem, head.
 var densenet201 = Model{
 	Name: "densenet201", PaperKernels: 711, PaperRightSize: 32, PaperP95Ms: 72,
-	build: func(b int) []kernels.Desc {
+	recipe: &recipe{build: func(b int) []kernels.Desc {
 		var s seq
 		s.add(
 			dom(kernels.FamilyConvDirect+"_stem", 32, 700, b),
@@ -305,7 +345,7 @@ var densenet201 = Model{
 			kernels.Softmax(scale(32, b), 1000),
 		)
 		return s.ks
-	},
+	}},
 }
 
 // resnet152: 517 kernels, right-size 26, p95 ~11ms. 50 bottleneck blocks;
@@ -313,7 +353,7 @@ var densenet201 = Model{
 // despite 517 launches.
 var resnet152 = Model{
 	Name: "resnet152", PaperKernels: 517, PaperRightSize: 26, PaperP95Ms: 11,
-	build: func(b int) []kernels.Desc {
+	recipe: &recipe{build: func(b int) []kernels.Desc {
 		var s seq
 		s.add(
 			dom(kernels.FamilyConvDirect+"_stem", 26, 60, b),
@@ -344,7 +384,7 @@ var resnet152 = Model{
 			s.add(tiny(fmt.Sprintf("%s_h%d", kernels.FamilyElementwise, i), b))
 		}
 		return s.ks
-	},
+	}},
 }
 
 // resnext101: 347 kernels, right-size 55, p95 ~154ms. Grouped convolutions
@@ -352,7 +392,7 @@ var resnet152 = Model{
 // normalization dips.
 var resnext101 = Model{
 	Name: "resnext101", PaperKernels: 347, PaperRightSize: 55, PaperP95Ms: 154,
-	build: func(b int) []kernels.Desc {
+	recipe: &recipe{build: func(b int) []kernels.Desc {
 		var s seq
 		s.add(
 			dom(kernels.FamilyConvDirect+"_stem", 55, 1500, b),
@@ -387,14 +427,14 @@ var resnext101 = Model{
 			s.add(tiny(fmt.Sprintf("%s_h%d", kernels.FamilyElementwise, i), b))
 		}
 		return s.ks
-	},
+	}},
 }
 
 // shufflenet: 211 kernels, right-size 21, p95 ~8ms. Pointwise group convs
 // with channel shuffles; short and launch-dominated.
 var shufflenet = Model{
 	Name: "shufflenet", PaperKernels: 211, PaperRightSize: 21, PaperP95Ms: 8,
-	build: func(b int) []kernels.Desc {
+	recipe: &recipe{build: func(b int) []kernels.Desc {
 		var s seq
 		s.add(
 			dom(kernels.FamilyConvDirect+"_stem", 21, 70, b),
@@ -425,13 +465,13 @@ var shufflenet = Model{
 			s.add(tiny(fmt.Sprintf("%s_h%d", kernels.FamilyElementwise, i), b))
 		}
 		return s.ks
-	},
+	}},
 }
 
 // squeezenet: 90 kernels, right-size 21, p95 ~8ms. Eight fire modules.
 var squeezenet = Model{
 	Name: "squeezenet", PaperKernels: 90, PaperRightSize: 21, PaperP95Ms: 8,
-	build: func(b int) []kernels.Desc {
+	recipe: &recipe{build: func(b int) []kernels.Desc {
 		var s seq
 		s.add(
 			dom(kernels.FamilyConvDirect+"_stem", 21, 180, b),
@@ -462,7 +502,7 @@ var squeezenet = Model{
 			tiny(kernels.FamilyElementwise+"_out2", b),
 		)
 		return s.ks
-	},
+	}},
 }
 
 // vgg19: 62 kernels, right-size 60, p95 ~81ms. Sixteen dense convolutions
@@ -470,7 +510,7 @@ var squeezenet = Model{
 // restriction immediately degrades throughput (Fig. 3).
 var vgg19 = Model{
 	Name: "vgg19", PaperKernels: 62, PaperRightSize: 60, PaperP95Ms: 81,
-	build: func(b int) []kernels.Desc {
+	recipe: &recipe{build: func(b int) []kernels.Desc {
 		var s seq
 		// Three early convs need the full machine, pinning the model-wise
 		// right-size at 60; the remaining convs are latency-bound (their
@@ -504,14 +544,14 @@ var vgg19 = Model{
 			s.add(tiny(fmt.Sprintf("%s_h%d", kernels.FamilyElementwise, i), b))
 		}
 		return s.ks
-	},
+	}},
 }
 
 // mobilenet: the ninth Fig. 3 model (mobilenet_v2-class). Depthwise
 // separable blocks; bandwidth-bound depthwise stages keep it tolerant.
 var mobilenet = Model{
 	Name: "mobilenet", PaperKernels: 152, PaperRightSize: 15, PaperP95Ms: 10,
-	build: func(b int) []kernels.Desc {
+	recipe: &recipe{build: func(b int) []kernels.Desc {
 		var s seq
 		s.add(
 			dom(kernels.FamilyConvDirect+"_stem", 15, 80, b),
@@ -541,5 +581,5 @@ var mobilenet = Model{
 			s.add(tiny(fmt.Sprintf("%s_h%d", kernels.FamilyElementwise, i), b))
 		}
 		return s.ks
-	},
+	}},
 }

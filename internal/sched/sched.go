@@ -116,7 +116,7 @@ func (p *Planner) sweep(m models.Model, batch int) []profile.SweepPoint {
 	if s, ok := p.sweeps[key]; ok {
 		return s
 	}
-	s := p.prof.CUSweep(m.Kernels(batch))
+	s := p.prof.CUSweep(m.Sequence(batch))
 	p.sweeps[key] = s
 	return s
 }

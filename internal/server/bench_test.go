@@ -45,8 +45,7 @@ func BenchmarkServeOneBatchKRISP(b *testing.B) {
 // stands in for sync.Pool, which drops Puts under the race detector, so
 // the bound holds with and without -race.
 func TestServeRunAllocs(t *testing.T) {
-	defer func(p statePool) { runPool = p }(runPool)
-	runPool = &stackPool{}
+	defer UseStackPool()()
 	mk := serveOneBatch(t)
 	seed := int64(0)
 	Run(mk(seed)) // warm the pool

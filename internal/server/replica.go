@@ -2,6 +2,7 @@ package server
 
 import (
 	"math/rand"
+	"slices"
 
 	"krisp/internal/core"
 	"krisp/internal/energy"
@@ -55,6 +56,11 @@ type Node struct {
 	inj      *faults.Injector
 	replicas []*Replica
 
+	// run is the pooled context that owns the node; Release parks it and
+	// sets parked, which the next acquire of the context clears.
+	run    *runState
+	parked bool
+
 	// replicaFree pools gracefully released replicas per GPU (a replica's
 	// runtime is bound to one command processor, so reuse never crosses
 	// devices). replicaSeq counts every AddReplica ever made and seeds the
@@ -74,56 +80,48 @@ type Node struct {
 	mailSeq uint64
 	mailIdx int
 	pumpFn  func() // pre-bound pump callback, one per node, zero-alloc
-
-	// descs caches built kernel sequences per (model, batch). Replicas
-	// come and go with autoscaler churn, but the sequences they run are
-	// pure functions of the model recipe — rebuilt lists were the largest
-	// steady-state allocation source in fleet runs. Shared lists are
-	// read-only: replicas jitter-copy into their own scratch before
-	// mutating durations.
-	descs map[descKey][]kernels.Desc
 }
 
-// descKey identifies one cached kernel sequence.
-type descKey struct {
-	model string
-	batch int
-}
-
-// modelKernels returns the node's cached kernel sequence for a model and
-// batch size, building it on first use. The returned slice is shared and
-// must not be mutated.
-func (n *Node) modelKernels(m models.Model, batch int) []kernels.Desc {
-	k := descKey{model: m.Name, batch: batch}
-	if ks, ok := n.descs[k]; ok {
-		return ks
-	}
-	if n.descs == nil {
-		n.descs = make(map[descKey][]kernels.Desc)
-	}
-	ks := m.Kernels(batch)
-	n.descs[k] = ks
-	return ks
-}
-
+// gpuStack is one device of a node. devTel and cpTel are the stack's own
+// telemetry structs, allocated the first time the node has a registry: a
+// pooled node keeps them across runs and rebinds them to each run's hub
+// (installing nil when the run has none).
 type gpuStack struct {
-	meter *energy.Meter
-	dev   *gpu.Device
-	cp    *hsa.CommandProcessor
+	meter  *energy.Meter
+	dev    *gpu.Device
+	cp     *hsa.CommandProcessor
+	devTel *gpu.Telemetry
+	cpTel  *hsa.Telemetry
 }
 
-// NewNode builds the node's devices and command processors and arms its
-// fault plan, if any. No replicas exist yet.
+// NewNode returns a node for cfg with its fault plan, if any, armed and no
+// replicas yet. The node comes from the pool that Run shares when one of
+// the same shape (device spec, HSA cost model, GPU count) is parked there,
+// reset in place; otherwise its devices and command processors are built.
+// Release parks it again.
 func NewNode(cfg NodeConfig) *Node {
 	cfg.setDefaults()
 	hsaCfg := cfg.HSA
 	hsaCfg.KernelScoped = true // replicas are kernel-scoped partition instances
-	n := newNode(cfg, hsaCfg)
+	n := acquireRun(cfg, hsaCfg).node
 	if !cfg.Faults.Empty() {
 		n.setFaults(*cfg.Faults)
 		n.armFaults()
 	}
 	return n
+}
+
+// Release parks the node for a later NewNode or Run of the same shape.
+// Neither the node nor anything it handed out (replicas, completions) may
+// be used afterwards, and releasing it twice panics. A node wired to a
+// tracing hub is not pooled, because its queues' trace names were fixed
+// when they were created.
+func (n *Node) Release() {
+	if n.parked {
+		panic("server: node released twice")
+	}
+	n.parked = true
+	n.run.release()
 }
 
 // setDefaults fills the zero fields of a node config with the server
@@ -155,15 +153,27 @@ func newNode(cfg NodeConfig, hsaCfg hsa.Config) *Node {
 	for g := range n.gpus {
 		meter := energy.NewMeter(energy.MI50Power())
 		dev := gpu.NewDevice(n.eng, cfg.Spec, meter)
-		cp := hsa.NewCommandProcessor(n.eng, dev, hsaCfg)
-		// The telemetry constructors return nil on a nil hub, so this
-		// wiring installs nothing when telemetry is off.
-		id := cfg.Index*cfg.GPUs + g
-		dev.SetTelemetry(gpu.NewTelemetry(cfg.Telemetry, cfg.Spec.Topo, id))
-		cp.SetTelemetry(hsa.NewTelemetry(cfg.Telemetry, id))
-		n.gpus[g] = gpuStack{meter: meter, dev: dev, cp: cp}
+		n.gpus[g] = gpuStack{meter: meter, dev: dev, cp: hsa.NewCommandProcessor(n.eng, dev, hsaCfg)}
 	}
+	n.bindTelemetry()
 	return n
+}
+
+// bindTelemetry wires every stack's device and processor telemetry to the
+// node's hub, fleet-wide GPU ids namespacing the series. Without a
+// registry the Bind calls return nil (on a nil receiver too), so this
+// installs nothing, and allocates nothing, when telemetry is off.
+func (n *Node) bindTelemetry() {
+	hub := n.cfg.Telemetry
+	for g := range n.gpus {
+		s := &n.gpus[g]
+		if s.devTel == nil && hub.Registry() != nil {
+			s.devTel, s.cpTel = new(gpu.Telemetry), new(hsa.Telemetry)
+		}
+		id := n.cfg.Index*n.cfg.GPUs + g
+		s.dev.SetTelemetry(s.devTel.Bind(hub, n.cfg.Spec.Topo, id))
+		s.cp.SetTelemetry(s.cpTel.Bind(hub, id))
+	}
 }
 
 // setFaults installs an injector for plan on every command processor.
@@ -406,10 +416,11 @@ type Replica struct {
 	completions []Completion
 	stats       ReplicaStats
 
-	// descCache[n] is the model's kernel sequence for an n-request batch,
-	// built on first use. Kernel geometry depends only on the batch size,
-	// so partial batches (the tail of a drained queue, a trickle workload)
-	// hit the cache too instead of rebuilding the sequence every batch.
+	// descCache[n] is the model's shared kernel sequence for an n-request
+	// batch (models.Model.Sequence), looked up on first use. Kernel
+	// geometry depends only on the batch size, so partial batches (the tail
+	// of a drained queue, a trickle workload) hit the cache too instead of
+	// taking the recipe's lock every batch.
 	descCache [][]kernels.Desc
 	descBuf   []kernels.Desc
 
@@ -504,15 +515,13 @@ func (n *Node) addReplica(spec ReplicaSpec, sizer *core.RightSizer, rtCfg core.C
 	var r *Replica
 	if free := n.replicaFree; spec.GPU < len(free) && len(free[spec.GPU]) > 0 {
 		// Reuse a released replica from this GPU's pool: reseed its RNG in
-		// place, rebind its runtime to the fresh queue, and invalidate the
-		// batch-sequence cache if the workload changed.
+		// place, rebind its runtime to the fresh queue, and drop the
+		// batch-sequence cache, which belonged to the previous spec.
 		last := len(free[spec.GPU]) - 1
 		r = free[spec.GPU][last]
 		free[spec.GPU][last] = nil
 		n.replicaFree[spec.GPU] = free[spec.GPU][:last]
-		if r.spec.Model.Name != spec.Model.Name || r.spec.Batch != spec.Batch {
-			r.descCache = nil
-		}
+		clear(r.descCache)
 		r.spec = spec
 		r.rng.Seed(seed)
 		r.rt.Reconfigure(q, sizer, rtCfg)
@@ -802,17 +811,19 @@ func (r *Replica) postDone() {
 	r.maybeStart()
 }
 
-// batchKernels builds the model's kernel sequence for an n-request batch
-// with per-instance duration noise, reusing the replica's buffers. Every
-// batch size is cached on first use (geometry is a pure function of n);
-// the lists live on the node so autoscaler-respawned replicas share them.
+// batchKernels returns the model's kernel sequence for an n-request batch
+// with per-instance duration noise, reusing the replica's buffers. The
+// sequences belong to the model's recipe and are shared read-only by every
+// replica in the process; the jitter pass writes into the replica's own
+// scratch.
 func (r *Replica) batchKernels(n int) []kernels.Desc {
-	if r.descCache == nil {
-		r.descCache = make([][]kernels.Desc, r.spec.Batch+1)
+	if len(r.descCache) != r.spec.Batch+1 {
+		r.descCache = slices.Grow(r.descCache[:0], r.spec.Batch+1)[:r.spec.Batch+1]
+		clear(r.descCache)
 	}
 	base := r.descCache[n]
 	if base == nil {
-		base = r.node.modelKernels(r.spec.Model, n)
+		base = r.spec.Model.Sequence(n)
 		r.descCache[n] = base
 	}
 	if r.node.cfg.Jitter == 0 {

@@ -2,12 +2,13 @@ package server
 
 import (
 	"reflect"
-	"sync"
 	"testing"
 
 	"krisp/internal/faults"
+	"krisp/internal/kernels"
 	"krisp/internal/models"
 	"krisp/internal/policies"
+	"krisp/internal/telemetry"
 )
 
 // reuseScenarios are the configurations the run-context reuse path must
@@ -65,45 +66,19 @@ func reuseScenarios(t *testing.T) map[string]func() Config {
 	}
 }
 
-// stackPool is a deterministic statePool: unlike sync.Pool under the race
-// detector (which drops a quarter of Puts by design), every Put is
-// retained, so the test can assert the reruns really hit the reset path.
-type stackPool struct {
-	mu sync.Mutex
-	xs []any
-}
-
-func (p *stackPool) Get() any {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if n := len(p.xs); n > 0 {
-		x := p.xs[n-1]
-		p.xs[n-1] = nil
-		p.xs = p.xs[:n-1]
-		return x
-	}
-	return nil
-}
-
-func (p *stackPool) Put(x any) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.xs = append(p.xs, x)
-}
-
 // TestRunReuseDeterministic is the zero-alloc lifecycle's correctness
 // oracle: a run on a freshly built context and the same run replayed on a
 // pooled, reset-in-place context must produce byte-identical Results —
 // stats, latency samples, energy, and fault counters included. Run under
 // -race in CI, this also proves the pool hands out exclusive contexts.
 func TestRunReuseDeterministic(t *testing.T) {
-	defer func(p statePool) { runPool = p }(runPool)
+	defer UseStackPool()()
 	for name, mk := range reuseScenarios(t) {
 		t.Run(name, func(t *testing.T) {
 			// Empty the pool so the first run builds its context from
 			// scratch, and use a deterministic pool so the reruns are
 			// guaranteed to hit the reset path.
-			runPool = &stackPool{}
+			UseStackPool()
 			fresh := Run(mk())
 			if fresh.TotalRequests() == 0 {
 				t.Fatal("degenerate scenario: nothing completed")
@@ -174,5 +149,92 @@ func TestNodeReplicaReuseDeterministic(t *testing.T) {
 	}
 	if s2a.CompletedRequests == 0 {
 		t.Fatal("respawned replica served nothing")
+	}
+}
+
+// TestSameNameRecipesKeepTheirKernels guards the kernel-sequence ownership
+// rule: a sequence belongs to its model's recipe, not to the model's name.
+// Two Custom recipes share a name but not their kernels (2 against 20), so
+// a pooled context that served the short one must run the long one exactly
+// as a freshly built context does.
+func TestSameNameRecipesKeepTheirKernels(t *testing.T) {
+	defer UseStackPool()()
+	sq := mustModel(t, "squeezenet")
+	custom := func(n int) models.Model {
+		return models.Custom("same-name", sq.PaperRightSize, func(batch int) []kernels.Desc {
+			return sq.Kernels(batch)[:n]
+		})
+	}
+	short, long := custom(2), custom(20)
+	cfg := func(m models.Model) Config {
+		return Config{
+			Policy:  policies.KRISPI,
+			Workers: []WorkerSpec{{Model: m, Batch: 8}},
+			Seed:    5,
+			Warmup:  5_000,
+			Measure: 50_000,
+		}
+	}
+	fresh := Run(cfg(long))
+	if fresh.TotalRequests() == 0 {
+		t.Fatal("degenerate scenario: nothing completed")
+	}
+	UseStackPool()
+	Run(cfg(short))
+	if got := Run(cfg(long)); !reflect.DeepEqual(got, fresh) {
+		t.Fatalf("same-name recipe on a pooled context: %.0f RPS, fresh context: %.0f RPS", got.RPS, fresh.RPS)
+	}
+}
+
+// TestNodePoolSkipsTracedHubs pins when Release parks a node: always,
+// unless the node was wired to a hub with a tracer, whose queue thread
+// names were registered when the queues were created.
+func TestNodePoolSkipsTracedHubs(t *testing.T) {
+	defer UseStackPool()()
+	for _, tc := range []struct {
+		name   string
+		hub    *telemetry.Hub
+		pooled bool
+	}{
+		{"no telemetry", nil, true},
+		{"registry only", telemetry.NewHub(false), true},
+		{"tracer", telemetry.NewHub(true), false},
+	} {
+		n := NewNode(NodeConfig{GPUs: 2, Telemetry: tc.hub})
+		n.Release()
+		st, _ := runPool.Get().(*runState)
+		if got := st != nil; got != tc.pooled {
+			t.Errorf("%s: node parked = %v, want %v", tc.name, got, tc.pooled)
+		}
+		if st != nil && st.node != n {
+			t.Errorf("%s: the pool returned a different node", tc.name)
+		}
+	}
+	n := NewNode(NodeConfig{})
+	n.Release()
+	defer func() {
+		if recover() == nil {
+			t.Error("a second Release did not panic")
+		}
+	}()
+	n.Release()
+}
+
+// TestReleasedNodeDropsMail: mail still posted when a node is released
+// belongs to the finished run. The node's next user must not receive it —
+// the stale entry points at a replica struct the pool hands out again.
+func TestReleasedNodeDropsMail(t *testing.T) {
+	defer UseStackPool()()
+	m := mustModel(t, "squeezenet")
+	n := NewNode(NodeConfig{Seed: 3})
+	n.Post(1_000, 1_000, n.AddReplica(ReplicaSpec{Model: m, Batch: 8}), 1, 0, 0, false)
+	n.Release()
+	if NewNode(NodeConfig{Seed: 3}) != n {
+		t.Fatal("the pool did not hand the released node back")
+	}
+	r := n.AddReplica(ReplicaSpec{Model: m, Batch: 8})
+	n.AdvanceTo(50_000)
+	if s := r.Stats(); s.CompletedRequests+s.Outstanding() != 0 {
+		t.Fatalf("mail posted before Release reached a replica after it: %+v", s)
 	}
 }

@@ -178,7 +178,7 @@ func BuildDB(spec gpu.DeviceSpec, workers []WorkerSpec) *profile.DB {
 	p := profile.New(profile.Config{Spec: spec, Tolerance: 0.05, LaunchOverhead: 6})
 	db := profile.NewDB()
 	for _, w := range workers {
-		db.Profile(p, w.Model.Kernels(w.Batch))
+		db.Profile(p, w.Model.Sequence(w.Batch))
 	}
 	return db
 }
@@ -224,7 +224,7 @@ func serve(cfg Config, ol *openLoop) Result {
 	var slowest sim.Duration
 	if cfg.Warmup == 0 || cfg.Measure == 0 || chaosArmed {
 		for _, w := range cfg.Workers {
-			if l := getProf().ModelLatency(w.Model.Kernels(w.Batch), topo.TotalCUs()); l > slowest {
+			if l := getProf().ModelLatency(w.Model.Sequence(w.Batch), topo.TotalCUs()); l > slowest {
 				slowest = l
 			}
 		}
@@ -267,7 +267,7 @@ func serve(cfg Config, ol *openLoop) Result {
 			if !ok {
 				rs, ok = cache[key]
 				if !ok {
-					rs = getProf().ModelRightSize(w.Model.Kernels(w.Batch))
+					rs = getProf().ModelRightSize(w.Model.Sequence(w.Batch))
 					cache[key] = rs
 				}
 			}
@@ -331,6 +331,9 @@ func serve(cfg Config, ol *openLoop) Result {
 	inj := n.inj
 	rs := core.NewRightSizer(db, topo.TotalCUs())
 
+	for len(st.coreTels) < numGPUs {
+		st.coreTels = append(st.coreTels, new(core.Telemetry))
+	}
 	st.measureStart = cfg.Warmup
 	st.measureEnd = cfg.Warmup + cfg.Measure
 	st.chaos = nil
@@ -350,7 +353,7 @@ func serve(cfg Config, ol *openLoop) Result {
 			Mode:         mode,
 			OverlapLimit: a.OverlapLimit,
 			Device:       g,
-			Telemetry:    st.coreTels[g],
+			Telemetry:    st.coreTels[g].Bind(cfg.Telemetry, g),
 		}
 		if i == 0 {
 			rtCfg.Trace = cfg.Trace

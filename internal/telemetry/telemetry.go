@@ -184,14 +184,57 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 	return out
 }
 
+var (
+	latencyBucketsUs = ExpBuckets(1, 2, 24)
+	latencyBucketsMs = ExpBuckets(0.5, 2, 16)
+)
+
 // LatencyBucketsUs is the default microsecond latency bucketing:
 // 1us .. ~8.4s in powers of two — wide enough for IOCTL syscalls at the
-// bottom and straggler batches at the top.
-func LatencyBucketsUs() []float64 { return ExpBuckets(1, 2, 24) }
+// bottom and straggler batches at the top. The slice is shared and must
+// not be modified (Registry.Histogram copies the bounds it is given).
+func LatencyBucketsUs() []float64 { return latencyBucketsUs }
 
 // LatencyBucketsMs is the default millisecond latency bucketing for batch
-// and request latencies: 0.5ms .. ~16s.
-func LatencyBucketsMs() []float64 { return ExpBuckets(0.5, 2, 16) }
+// and request latencies: 0.5ms .. ~16s. Shared, like LatencyBucketsUs.
+func LatencyBucketsMs() []float64 { return latencyBucketsMs }
+
+// SeriesNames memoizes the names of a family of per-instance series, each
+// base name with the label set {label="id"} baked in, so a pooled stack
+// rewired to a new registry every run formats each name once per process
+// rather than once per run. Safe for concurrent use.
+type SeriesNames struct {
+	label string
+	bases []string
+
+	mu   sync.Mutex
+	byID [][]string
+}
+
+// NewSeriesNames declares a family: the series bases, labelled by label.
+func NewSeriesNames(label string, bases ...string) *SeriesNames {
+	return &SeriesNames{label: label, bases: bases}
+}
+
+// For returns the family's names for instance id (non-negative), in the
+// order of the bases. The slice is shared and must not be modified.
+func (s *SeriesNames) For(id int) []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if id >= len(s.byID) {
+		s.byID = append(s.byID, make([][]string, id+1-len(s.byID))...)
+	}
+	names := s.byID[id]
+	if names == nil {
+		lbl := fmt.Sprintf(`{%s="%d"}`, s.label, id)
+		names = make([]string, len(s.bases))
+		for i, b := range s.bases {
+			names[i] = b + lbl
+		}
+		s.byID[id] = names
+	}
+	return names
+}
 
 // CUBuckets buckets CU grant sizes on MI50/MI100-shaped devices.
 func CUBuckets() []float64 { return []float64{1, 2, 4, 8, 15, 22, 30, 45, 60, 90, 120} }
