@@ -669,6 +669,7 @@ func (f *Fleet) applyFaults(now sim.Time) {
 				// requests with a surviving hedge continue, the rest retry
 				// on live replicas (budget permitting) or fail.
 				failed := f.gw.OnReplicaDown(h.id, now)
+				h.breaker = nil // parked for reuse by a later AddReplica
 				f.res.Failed += failed
 				f.obs.onReplicaDown(f.modelByName(h.model), h, now, failed, true)
 			} else {
@@ -710,6 +711,7 @@ func (f *Fleet) reap() {
 			h.dead = true
 			if f.gw != nil {
 				f.gw.RemoveReplica(h.id)
+				h.breaker = nil // parked for reuse by a later AddReplica
 			}
 			// Harvest LLM counters before Release resets the stats.
 			f.res.Preemptions += h.rep.Stats().Preempted

@@ -5,6 +5,8 @@ import (
 	"sort"
 	"testing"
 
+	"krisp/internal/models"
+	"krisp/internal/policies"
 	"krisp/internal/server"
 	"krisp/internal/telemetry"
 )
@@ -90,5 +92,53 @@ func TestPooledFleetRunAllocs(t *testing.T) {
 	const ceiling = 234
 	if allocs > ceiling {
 		t.Fatalf("warm pooled fleet run allocates %.0f objects, want at most %d", allocs, ceiling)
+	}
+}
+
+// TestPooledNodesCrossBetweenFleetAndServe: fleet nodes and server.Run
+// contexts share one pool, so a node an LLM fleet parked can serve a
+// classic Run of the same shape next, and the other way round. Neither
+// may carry lifecycle state into the other: a recycled replica that kept
+// its continuous-batching engine would push Run's fixed batches through
+// the token loop.
+func TestPooledNodesCrossBetweenFleetAndServe(t *testing.T) {
+	defer server.UseStackPool()()
+	m, ok := models.ByName("squeezenet")
+	if !ok {
+		t.Fatal("model missing")
+	}
+	for _, gpus := range []int{1, 2} {
+		fleetCfg := func() Config {
+			cfg := llmDisaggConfig()
+			cfg.GPUsPerNode = gpus
+			return cfg
+		}
+		serveCfg := server.Config{
+			Policy:  policies.KRISPI,
+			GPUs:    gpus,
+			Workers: []server.WorkerSpec{{Model: m, Batch: 16}, {Model: m, Batch: 16}},
+			Seed:    21,
+			Warmup:  5_000,
+			Measure: 60_000,
+		}
+		server.UseStackPool()
+		freshServe := server.Run(serveCfg)
+		if freshServe.TotalRequests() == 0 {
+			t.Fatal("degenerate serve scenario: nothing completed")
+		}
+		server.UseStackPool()
+		freshFleet := New(fleetCfg()).Run()
+
+		// Fleet first: server.Run reuses the LLM fleet's parked nodes.
+		server.UseStackPool()
+		Run(fleetCfg())
+		if got := server.Run(serveCfg); !reflect.DeepEqual(got, freshServe) {
+			t.Fatalf("%d GPUs: Run on a node an LLM fleet parked: %.0f RPS, fresh: %.0f RPS",
+				gpus, got.RPS, freshServe.RPS)
+		}
+		// Serve first: the fleet reuses Run's parked contexts.
+		server.UseStackPool()
+		server.Run(serveCfg)
+		requireIdentical(t, "fleet on a node Run parked", freshFleet, Run(fleetCfg()))
 	}
 }

@@ -77,7 +77,8 @@ type replicaHandle struct {
 	dead     bool
 
 	// breaker is the replica's circuit breaker when a gateway fronts the
-	// fleet; nil otherwise (and nil always allows).
+	// fleet; nil otherwise, and nil once the gateway has dropped the
+	// replica and parked the breaker for reuse (nil always allows).
 	breaker *gateway.Breaker
 
 	outstanding int

@@ -31,17 +31,11 @@ var runtimeSeries = tele.NewSeriesNames("gpu",
 	"krisp_core_ladder_widenings_total", "krisp_core_ladder_tightenings_total",
 	"krisp_core_kernel_retries_total", "krisp_core_kernels_abandoned_total")
 
-// NewTelemetry resolves the runtime metric handles for GPU index gpu
-// against the hub. Returns nil when the hub carries no registry. Runtimes
-// sharing a GPU share the handles (the registry is get-or-register).
-func NewTelemetry(hub *tele.Hub, gpu int) *Telemetry {
-	return new(Telemetry).Bind(hub, gpu)
-}
-
-// Bind re-resolves t's handles for GPU index gpu against hub and returns
-// t, or returns nil when the hub carries no registry (t may then be nil). The series names are
-// built once per index, so rebinding a pooled runtime's Telemetry costs
-// registry lookups only.
+// Bind resolves t's runtime metric handles for GPU index gpu against hub
+// and returns t, or returns nil when the hub carries no registry (t may
+// then be nil). Runtimes sharing a GPU share the handles (the registry is
+// get-or-register). The series names are built once per index, so
+// rebinding a pooled runtime's Telemetry costs registry lookups only.
 func (t *Telemetry) Bind(hub *tele.Hub, gpu int) *Telemetry {
 	reg := hub.Registry()
 	if reg == nil {

@@ -36,18 +36,12 @@ var deviceSeries = tele.NewSeriesNames("gpu",
 	"krisp_gpu_busy_cus", "krisp_gpu_healthy_cus", "krisp_gpu_running_kernels",
 	"krisp_gpu_launches_total", "krisp_gpu_cu_kills_total")
 
-// NewTelemetry resolves the device metric handles for GPU index gpu against
-// the hub. Returns nil (telemetry fully disabled) when the hub carries no
-// registry. The gpu index becomes both the metric label and the trace pid.
-func NewTelemetry(hub *tele.Hub, topo Topology, gpu int) *Telemetry {
-	return new(Telemetry).Bind(hub, topo, gpu)
-}
-
-// Bind re-resolves t's handles for GPU index gpu against hub and returns
-// t, or returns nil — telemetry off — when the hub carries no registry (t
-// may then be nil). A
-// pooled device stack keeps its Telemetry and rebinds it every run, which
-// costs registry lookups only: the series names are built once per index.
+// Bind resolves t's device metric handles for GPU index gpu against hub
+// and returns t, or returns nil (telemetry fully disabled) when the hub
+// carries no registry (t may then be nil). The gpu index becomes both the
+// metric label and the trace pid. A pooled device stack keeps its
+// Telemetry and rebinds it every run, which costs registry lookups only:
+// the series names are built once per index.
 func (t *Telemetry) Bind(hub *tele.Hub, topo Topology, gpu int) *Telemetry {
 	reg := hub.Registry()
 	if reg == nil {

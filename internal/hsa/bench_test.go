@@ -26,11 +26,11 @@ func telemetryStack(kernelScoped bool) (*sim.Engine, *Queue) {
 	eng := sim.New()
 	hub := tele.NewHub(false)
 	dev := gpu.NewDevice(eng, gpu.MI50Spec(), nil)
-	dev.SetTelemetry(gpu.NewTelemetry(hub, gpu.MI50, 0))
+	dev.SetTelemetry(new(gpu.Telemetry).Bind(hub, gpu.MI50, 0))
 	cfg := DefaultConfig()
 	cfg.KernelScoped = kernelScoped
 	cp := NewCommandProcessor(eng, dev, cfg)
-	cp.SetTelemetry(NewTelemetry(hub, 0))
+	cp.SetTelemetry(new(Telemetry).Bind(hub, 0))
 	return eng, cp.NewQueue()
 }
 

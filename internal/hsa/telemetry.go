@@ -38,16 +38,10 @@ var processorSeries = tele.NewSeriesNames("gpu",
 	"krisp_hsa_dispatches_total", "krisp_hsa_barriers_total", "krisp_hsa_ioctls_total",
 	"krisp_hsa_queue_depth", "krisp_hsa_dispatch_wait_us", "krisp_hsa_ioctl_latency_us")
 
-// NewTelemetry resolves the HSA metric handles for GPU index gpu against
-// the hub. Returns nil when the hub carries no registry.
-func NewTelemetry(hub *tele.Hub, gpu int) *Telemetry {
-	return new(Telemetry).Bind(hub, gpu)
-}
-
-// Bind re-resolves t's handles for GPU index gpu against hub and returns
-// t, or returns nil when the hub carries no registry (t may then be nil). Rebinding a pooled
-// processor's Telemetry costs registry lookups only: the series names are
-// built once per index.
+// Bind resolves t's HSA metric handles for GPU index gpu against hub and
+// returns t, or returns nil when the hub carries no registry (t may then
+// be nil). Rebinding a pooled processor's Telemetry costs registry lookups
+// only: the series names are built once per index.
 func (t *Telemetry) Bind(hub *tele.Hub, gpu int) *Telemetry {
 	reg := hub.Registry()
 	if reg == nil {

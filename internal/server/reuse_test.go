@@ -106,6 +106,53 @@ func TestRunReuseDeterministic(t *testing.T) {
 	}
 }
 
+// TestPooledRunRebindsTelemetry is the registry-side twin of
+// TestRunReuseDeterministic. A Run whose hub has a registry but no tracer
+// is pooled too; the reused context's runtime, device and processor
+// telemetry must be rebound to the new run's registry. Every reuse
+// scenario, chaos included (healthy-CU and fault series), must publish
+// exactly the series a freshly built context publishes, and must leave
+// the previous run's registry untouched.
+func TestPooledRunRebindsTelemetry(t *testing.T) {
+	defer UseStackPool()()
+	for name, mk := range reuseScenarios(t) {
+		t.Run(name, func(t *testing.T) {
+			run := func() (Result, *telemetry.Registry) {
+				cfg := mk()
+				cfg.Telemetry = telemetry.NewHub(false)
+				return Run(cfg), cfg.Telemetry.Registry()
+			}
+			UseStackPool()
+			fresh, freshReg := run()
+			want := freshReg.Snapshot()
+			if len(want) == 0 {
+				t.Fatal("degenerate scenario: the registry is empty")
+			}
+			st, _ := runPool.Get().(*runState)
+			if st == nil {
+				t.Fatal("a registry-only run did not return its context to the pool")
+			}
+			runPool.Put(st)
+			got, gotReg := run()
+			if !reflect.DeepEqual(got, fresh) {
+				t.Fatal("pooled run with a registry diverged from the fresh result")
+			}
+			if !reflect.DeepEqual(gotReg.Snapshot(), want) {
+				t.Fatal("pooled run's registry differs from a fresh context's")
+			}
+			if again, _ := runPool.Get().(*runState); again != st {
+				t.Fatal("the pooled run did not reuse the parked context")
+			} else {
+				runPool.Put(again)
+			}
+			run()
+			if !reflect.DeepEqual(gotReg.Snapshot(), want) {
+				t.Fatal("a later run on the pooled context wrote into an earlier run's registry")
+			}
+		})
+	}
+}
+
 // TestNodeReplicaReuseDeterministic drives the fleet-side twin: a node
 // whose replicas are drained, released, and respawned from the pool must
 // serve exactly like one that builds every replica fresh.

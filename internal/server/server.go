@@ -375,6 +375,10 @@ func serve(cfg Config, ol *openLoop) Result {
 			batch = ol.maxBatch
 		}
 		r := n.addReplica(ReplicaSpec{Model: w.Model, Batch: batch, GPU: g}, sizer, rtCfg)
+		// A replica recycled from a pooled fleet node may still hold its
+		// LLM engine (AddReplica keeps it for reuse); Run's workers always
+		// serve fixed batches.
+		r.llm = nil
 		q := r.rt.Queue()
 		if !a.QueueMask.IsEmpty() && !a.QueueMask.Equal(gpu.FullMask(topo)) {
 			q.SetCUMask(a.QueueMask, nil)
