@@ -117,9 +117,6 @@ func NewAllocator(topo gpu.Topology) *Allocator {
 	}
 }
 
-// Topology returns the device topology the allocator was built for.
-func (a *Allocator) Topology() gpu.Topology { return a.topo }
-
 // Generate runs Algorithm 1 and returns the kernel resource mask.
 // counters must have one entry per physical CU (the Resource Monitor
 // state); a nil counters slice means an idle device. counters is never

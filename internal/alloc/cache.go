@@ -53,10 +53,6 @@ func NewMaskCache(topo gpu.Topology) *MaskCache {
 	}
 }
 
-// Allocator returns the cache's backing allocator (for uncached calls that
-// still want the scratch buffers).
-func (c *MaskCache) Allocator() *Allocator { return c.alloc }
-
 // Generate returns the Algorithm 1 mask for req against occ's current
 // counters, serving it from cache when the occupancy state provably
 // matches a previous call.

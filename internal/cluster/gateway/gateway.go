@@ -391,9 +391,6 @@ func (g *Gateway) TenantIndex(id int) int {
 // Class returns the priority class of the tenant at the given index.
 func (g *Gateway) Class(tenantIdx int) int { return g.tenants[tenantIdx].cfg.Class }
 
-// SLOUs returns the model's latency SLO.
-func (g *Gateway) SLOUs(model int) float64 { return g.models[model].sloUs }
-
 // BeginTick refills every bucket to now. The fleet calls it once per
 // control tick, before admitting the tick's arrivals.
 func (g *Gateway) BeginTick(now sim.Time) {

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"reflect"
 	"sort"
 	"testing"
@@ -19,7 +20,7 @@ import (
 // pooled Result must equal the fresh one, and the Results kept from the
 // forward pass must not change while later runs reuse their nodes.
 func TestPooledFleetReplaysByteIdentical(t *testing.T) {
-	defer server.UseStackPool()()
+	server.EmptyPool()
 	scenarios := oracleScenarios(t)
 	var names []string
 	for name := range scenarios {
@@ -54,7 +55,7 @@ func TestPooledFleetReplaysByteIdentical(t *testing.T) {
 // fresh fleet publishes into its own registry, and must leave the previous
 // run's registry untouched.
 func TestPooledFleetRebindsTelemetry(t *testing.T) {
-	defer server.UseStackPool()()
+	server.EmptyPool()
 	run := func(pooled bool) *telemetry.Registry {
 		cfg := baseConfig(t)
 		cfg.Telemetry = telemetry.NewHub(false)
@@ -79,12 +80,53 @@ func TestPooledFleetRebindsTelemetry(t *testing.T) {
 	}
 }
 
+// TestPooledFleetReplaysTrace: nodes wired to a tracing hub are pooled
+// like any other. A traced fleet on the nodes a traced fleet parked must
+// write the same Chrome trace, byte for byte, and the same Result as a
+// never-pooled fleet. The scenarios replan, drain and release replicas,
+// so pooled command processors must hand their queue IDs (the trace's
+// thread ids) out again exactly as new ones do.
+func TestPooledFleetReplaysTrace(t *testing.T) {
+	scenarios := oracleScenarios(t)
+	for _, name := range []string{"faults", "llm-disagg"} {
+		t.Run(name, func(t *testing.T) {
+			run := func(pooled bool) (*Result, []byte) {
+				cfg := scenarios[name]()
+				cfg.RecordRouting = true
+				cfg.Telemetry = telemetry.NewHub(true)
+				var res *Result
+				if pooled {
+					res = Run(cfg)
+				} else {
+					res = New(cfg).Run()
+				}
+				var buf bytes.Buffer
+				if err := cfg.Telemetry.Trace().WriteChromeTrace(&buf); err != nil {
+					t.Fatal(err)
+				}
+				return res, buf.Bytes()
+			}
+			server.EmptyPool()
+			fresh, freshTrace := run(false)
+			run(true) // park the nodes
+			for i := 0; i < 2; i++ {
+				got, gotTrace := run(true)
+				requireIdentical(t, "traced fleet on pooled nodes", fresh, got)
+				if !bytes.Equal(gotTrace, freshTrace) {
+					t.Fatalf("run %d: traced fleet on pooled nodes wrote a %d-byte trace, a fresh fleet %d bytes",
+						i, len(gotTrace), len(freshTrace))
+				}
+			}
+		})
+	}
+}
+
 // TestPooledFleetRunAllocs bounds what a warm fleet run allocates once its
 // nodes (engines, devices, processors, replicas), kernel sequences and
 // gateway breakers come from pools: what remains is the run's own
 // control-plane state and its Result.
 func TestPooledFleetRunAllocs(t *testing.T) {
-	defer server.UseStackPool()()
+	server.EmptyPool()
 	cfg := baseConfig(t)
 	Run(cfg) // fill the pool
 	allocs := testing.AllocsPerRun(5, func() { Run(cfg) })
@@ -102,7 +144,7 @@ func TestPooledFleetRunAllocs(t *testing.T) {
 // its continuous-batching engine would push Run's fixed batches through
 // the token loop.
 func TestPooledNodesCrossBetweenFleetAndServe(t *testing.T) {
-	defer server.UseStackPool()()
+	server.EmptyPool()
 	m, ok := models.ByName("squeezenet")
 	if !ok {
 		t.Fatal("model missing")
@@ -121,23 +163,23 @@ func TestPooledNodesCrossBetweenFleetAndServe(t *testing.T) {
 			Warmup:  5_000,
 			Measure: 60_000,
 		}
-		server.UseStackPool()
+		server.EmptyPool()
 		freshServe := server.Run(serveCfg)
 		if freshServe.TotalRequests() == 0 {
 			t.Fatal("degenerate serve scenario: nothing completed")
 		}
-		server.UseStackPool()
+		server.EmptyPool()
 		freshFleet := New(fleetCfg()).Run()
 
 		// Fleet first: server.Run reuses the LLM fleet's parked nodes.
-		server.UseStackPool()
+		server.EmptyPool()
 		Run(fleetCfg())
 		if got := server.Run(serveCfg); !reflect.DeepEqual(got, freshServe) {
 			t.Fatalf("%d GPUs: Run on a node an LLM fleet parked: %.0f RPS, fresh: %.0f RPS",
 				gpus, got.RPS, freshServe.RPS)
 		}
 		// Serve first: the fleet reuses Run's parked contexts.
-		server.UseStackPool()
+		server.EmptyPool()
 		server.Run(serveCfg)
 		requireIdentical(t, "fleet on a node Run parked", freshFleet, Run(fleetCfg()))
 	}

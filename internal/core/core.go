@@ -79,41 +79,23 @@ func NewRightSizer(db *profile.DB, totalCUs int) *RightSizer {
 	return &RightSizer{db: db, totalCUs: totalCUs}
 }
 
-// NewFixedRightSizer returns a sizer granting a constant partition to
-// every kernel — model-wise right-sizing carried through kernel-scoped
-// partition instances (the paper's suggested enhancement to prior works).
-func NewFixedRightSizer(n, totalCUs int) *RightSizer {
-	if n < 1 {
-		n = 1
-	}
-	if n > totalCUs {
-		n = totalCUs
-	}
-	return &RightSizer{totalCUs: totalCUs, fixed: n}
+// FixedRightSizer returns a sizer granting a constant partition to every
+// kernel — model-wise right-sizing carried through kernel-scoped partition
+// instances (the paper's suggested enhancement to prior works). It is a
+// value, so an owner that keeps its sizer in a field resizes it in place.
+func FixedRightSizer(n, totalCUs int) RightSizer {
+	return RightSizer{totalCUs: totalCUs, fixed: min(max(n, 1), totalCUs)}
 }
 
-// NewPhaseRightSizer returns a sizer granting separate fixed partitions
+// PhaseRightSizer returns a sizer granting separate fixed partitions
 // to prefill- and decode-tagged kernels — per-phase kernel-wise
 // right-sizing for autoregressive models, where the two phases sit at
 // opposite ends of the minCU spectrum. Untagged kernels fall back to the
 // larger of the two sizes (the safe side for anything unphased that
 // sneaks into an LLM sequence).
-func NewPhaseRightSizer(prefillCUs, decodeCUs, totalCUs int) *RightSizer {
-	clamp := func(n int) int {
-		if n < 1 {
-			n = 1
-		}
-		if n > totalCUs {
-			n = totalCUs
-		}
-		return n
-	}
-	prefillCUs, decodeCUs = clamp(prefillCUs), clamp(decodeCUs)
-	fallback := prefillCUs
-	if decodeCUs > fallback {
-		fallback = decodeCUs
-	}
-	r := &RightSizer{totalCUs: totalCUs, fixed: fallback}
+func PhaseRightSizer(prefillCUs, decodeCUs, totalCUs int) RightSizer {
+	prefillCUs, decodeCUs = min(max(prefillCUs, 1), totalCUs), min(max(decodeCUs, 1), totalCUs)
+	r := RightSizer{totalCUs: totalCUs, fixed: max(prefillCUs, decodeCUs)}
 	r.phase[kernels.PhasePrefill] = prefillCUs
 	r.phase[kernels.PhaseDecode] = decodeCUs
 	return r
@@ -237,9 +219,6 @@ func (rt *Runtime) Reconfigure(queue *hsa.Queue, rs *RightSizer, cfg Config) {
 
 // Queue returns the underlying HSA queue.
 func (rt *Runtime) Queue() *hsa.Queue { return rt.queue }
-
-// Mode returns the enforcement mode.
-func (rt *Runtime) Mode() Mode { return rt.cfg.Mode }
 
 // Level returns the runtime's current degradation-ladder level.
 func (rt *Runtime) Level() int { return rt.level }

@@ -358,14 +358,6 @@ func (d *Device) SetCUDegrade(cu int, stretch float64) {
 // allocator (Algorithm 1's CU_Kernel_Counters).
 func (d *Device) KernelCount(cu int) int { return d.CountersView()[cu] }
 
-// Counters returns a copy of all per-CU kernel counters.
-func (d *Device) Counters() []int {
-	view := d.CountersView()
-	out := make([]int, len(view))
-	copy(out, view)
-	return out
-}
-
 // CountersView returns the per-CU kernel counters without copying — the
 // zero-allocation Resource Monitor read the dispatch fast path uses. The
 // slice is owned by the device and is rebuilt from the bit-sliced counters

@@ -23,6 +23,7 @@ package hsa
 
 import (
 	"errors"
+	"slices"
 
 	"krisp/internal/alloc"
 	"krisp/internal/gpu"
@@ -304,9 +305,6 @@ func NewCommandProcessor(eng *sim.Engine, dev *gpu.Device, cfg Config) *CommandP
 // Device returns the device this command processor dispatches to.
 func (cp *CommandProcessor) Device() *gpu.Device { return cp.dev }
 
-// Config returns the command processor configuration.
-func (cp *CommandProcessor) Config() Config { return cp.cfg }
-
 // MaskCache returns the processor's Algorithm 1 cache (for stats/tests).
 func (cp *CommandProcessor) MaskCache() *alloc.MaskCache { return cp.masks }
 
@@ -499,20 +497,24 @@ func (cp *CommandProcessor) ReleaseQueue(q *Queue) {
 }
 
 // Reset returns the command processor to its just-constructed state for
-// reuse against a reset engine and device. Every live queue is force-reset
-// (the engine reset already dropped any events referencing it) and parked
-// on the free list in creation order, so a rerun's NewQueue calls get the
-// same queues back with the same IDs. The mask cache survives: its idle
-// side is a pure function of topology, and its busy side is keyed on the
-// device occupancy generation, which Device.Reset advances.
-func (cp *CommandProcessor) Reset() {
-	for i := len(cp.queues) - 1; i >= 0; i-- {
-		q := cp.queues[i]
+// reuse against a reset engine and device, configured with cfg: nothing
+// reads the cost model before a packet is processed, so a reset processor
+// serves exactly like NewCommandProcessor(eng, dev, cfg). Every queue,
+// live or released, is force-reset (the engine reset already dropped any
+// events referencing it) and parked on the free list in descending ID
+// order, so a rerun's NewQueue calls get the IDs a new processor would
+// hand out. The mask cache survives: its idle side is a pure function of
+// topology, and its busy side is keyed on the request and on the device
+// occupancy generation, which Device.Reset advances.
+func (cp *CommandProcessor) Reset(cfg Config) {
+	cp.cfg = cfg
+	for i, q := range cp.queues {
 		q.reset()
 		cp.queueFree = append(cp.queueFree, q)
 		cp.queues[i] = nil
 	}
 	cp.queues = cp.queues[:0]
+	slices.SortFunc(cp.queueFree, func(a, b *Queue) int { return b.ID - a.ID })
 	// Every lease is dead once the engine resets: rebuild the free list
 	// from the full signal population, reclaiming in-flight orphans.
 	cp.sigFree = cp.sigFree[:0]

@@ -75,9 +75,6 @@ func New(cfg Config) *Profiler {
 	return p
 }
 
-// Config returns the profiling configuration.
-func (p *Profiler) Config() Config { return p.cfg }
-
 // Mask returns the idle-device Conserved mask of n CUs used for profiling.
 func (p *Profiler) Mask(n int) gpu.CUMask {
 	if n < 1 {

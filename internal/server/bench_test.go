@@ -41,18 +41,23 @@ func BenchmarkServeOneBatchKRISP(b *testing.B) {
 }
 
 // TestServeRunAllocs guards the pooled run context: once warm, a whole
-// serve run stays at or under 20 allocations. The deterministic stackPool
-// stands in for sync.Pool, which drops Puts under the race detector, so
-// the bound holds with and without -race.
+// serve run stays at or under 20 allocations, also when consecutive runs
+// alternate between MPS-default and KRISP-I, whose command processors
+// differ only in their per-run cost model.
 func TestServeRunAllocs(t *testing.T) {
-	defer UseStackPool()()
 	mk := serveOneBatch(t)
 	seed := int64(0)
-	Run(mk(seed)) // warm the pool
-	allocs := testing.AllocsPerRun(20, func() {
+	run := func() {
 		seed++
-		Run(mk(seed))
-	})
+		cfg := mk(seed)
+		if seed%2 == 0 {
+			cfg.Policy = policies.MPSDefault
+		}
+		Run(cfg)
+	}
+	run() // warm the pool under both policies
+	run()
+	allocs := testing.AllocsPerRun(20, run)
 	if allocs > 20 {
 		t.Fatalf("serve run allocates %.1f/run, want at most 20", allocs)
 	}

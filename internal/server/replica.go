@@ -96,9 +96,9 @@ type gpuStack struct {
 
 // NewNode returns a node for cfg with its fault plan, if any, armed and no
 // replicas yet. The node comes from the pool that Run shares when one of
-// the same shape (device spec, HSA cost model, GPU count) is parked there,
-// reset in place; otherwise its devices and command processors are built.
-// Release parks it again.
+// the same shape (device spec, GPU count) is parked there, reset in place;
+// otherwise its devices and command processors are built. Release parks it
+// again.
 func NewNode(cfg NodeConfig) *Node {
 	cfg.setDefaults()
 	hsaCfg := cfg.HSA
@@ -113,9 +113,7 @@ func NewNode(cfg NodeConfig) *Node {
 
 // Release parks the node for a later NewNode or Run of the same shape.
 // Neither the node nor anything it handed out (replicas, completions) may
-// be used afterwards, and releasing it twice panics. A node wired to a
-// tracing hub is not pooled, because its queues' trace names were fixed
-// when they were created.
+// be used afterwards, and releasing it twice panics.
 func (n *Node) Release() {
 	if n.parked {
 		panic("server: node released twice")
@@ -314,9 +312,6 @@ func (n *Node) AdvanceTo(t sim.Time) {
 // NumGPUs returns the node's device count.
 func (n *Node) NumGPUs() int { return n.cfg.GPUs }
 
-// TotalCUs returns the per-device CU count.
-func (n *Node) TotalCUs() int { return n.cfg.Spec.Topo.TotalCUs() }
-
 // EnergyJ sums energy consumed across the node's devices up to now.
 func (n *Node) EnergyJ() float64 {
 	total := 0.0
@@ -406,6 +401,9 @@ type Replica struct {
 	spec ReplicaSpec
 	rt   *core.Runtime
 	rng  *rand.Rand
+	// sizer is the runtime's right-sizer, owned by the replica so a
+	// recycled replica resizes it in place.
+	sizer core.RightSizer
 
 	queue    []pending // requests waiting for a batch slot
 	inflight []pending
@@ -470,7 +468,7 @@ func (n *Node) AddReplica(spec ReplicaSpec) *Replica {
 	if spec.CUs <= 0 || spec.CUs > total {
 		spec.CUs = total
 	}
-	sizer := core.NewFixedRightSizer(spec.CUs, total)
+	sizer := core.FixedRightSizer(spec.CUs, total)
 	if l := spec.LLM; l != nil && (l.PrefillCUs > 0 || l.DecodeCUs > 0) {
 		// Kernel-wise per-phase right-sizing: prefill kernels get one
 		// partition size, decode kernels another, untagged kernels the
@@ -482,32 +480,23 @@ func (n *Node) AddReplica(spec ReplicaSpec) *Replica {
 		if dc <= 0 {
 			dc = spec.CUs
 		}
-		sizer = core.NewPhaseRightSizer(pf, dc, total)
+		sizer = core.PhaseRightSizer(pf, dc, total)
 	}
-	r := n.addReplica(spec, sizer, core.Config{
+	return n.addReplica(spec, sizer, core.Config{
 		Mode:         core.ModeNative,
 		OverlapLimit: spec.OverlapLimit,
 		Device:       n.cfg.Index*n.cfg.GPUs + spec.GPU,
 	})
-	if spec.LLM != nil {
-		if r.llm == nil {
-			r.llm = &llmEngine{}
-			r.llm.kickFn = r.llmKick
-			r.llm.stepFn = r.llmStepDone
-			r.llm.retryFn = r.llmRetry
-		}
-		r.llm.reset(*spec.LLM)
-	} else {
-		r.llm = nil
-	}
-	return r
 }
 
 // addReplica binds a replica to a fresh queue on spec.GPU with the given
 // sizer and runtime config: AddReplica's gpulet defaults, or the policy
 // assignment of one of Run's workers. The replica RNG is seeded from the
-// node seed and the replica's creation order.
-func (n *Node) addReplica(spec ReplicaSpec, sizer *core.RightSizer, rtCfg core.Config) *Replica {
+// node seed and the replica's creation order. The replica keeps (or
+// creates) its continuous-batching engine when spec.LLM is set and drops
+// it otherwise, so a recycled replica never carries one lifecycle into
+// the other.
+func (n *Node) addReplica(spec ReplicaSpec, sizer core.RightSizer, rtCfg core.Config) *Replica {
 	stack := n.gpus[spec.GPU]
 	q := stack.cp.NewQueue()
 	seed := n.cfg.Seed + n.replicaSeq*7919 + 1
@@ -523,15 +512,28 @@ func (n *Node) addReplica(spec ReplicaSpec, sizer *core.RightSizer, rtCfg core.C
 		n.replicaFree[spec.GPU] = free[spec.GPU][:last]
 		clear(r.descCache)
 		r.spec = spec
+		r.sizer = sizer
 		r.rng.Seed(seed)
-		r.rt.Reconfigure(q, sizer, rtCfg)
+		r.rt.Reconfigure(q, &r.sizer, rtCfg)
 	} else {
 		r = &Replica{
-			node: n,
-			spec: spec,
-			rt:   core.NewRuntime(n.eng, stack.cp, q, sizer, rtCfg),
-			rng:  rand.New(rand.NewSource(seed)),
+			node:  n,
+			spec:  spec,
+			rng:   rand.New(rand.NewSource(seed)),
+			sizer: sizer,
 		}
+		r.rt = core.NewRuntime(n.eng, stack.cp, q, &r.sizer, rtCfg)
+	}
+	if spec.LLM == nil {
+		r.llm = nil
+	} else {
+		if r.llm == nil {
+			r.llm = &llmEngine{}
+			r.llm.kickFn = r.llmKick
+			r.llm.stepFn = r.llmStepDone
+			r.llm.retryFn = r.llmRetry
+		}
+		r.llm.reset(*spec.LLM)
 	}
 	n.replicas = append(n.replicas, r)
 	return r
@@ -579,9 +581,6 @@ func (r *Replica) recycle() {
 	}
 	n.replicaFree[r.spec.GPU] = append(n.replicaFree[r.spec.GPU], r)
 }
-
-// Spec returns the replica's placement spec.
-func (r *Replica) Spec() ReplicaSpec { return r.spec }
 
 // pending is one accepted-but-unfinished request copy. enq is the node
 // clock at enqueue — the boundary between fabric transit and queue wait in

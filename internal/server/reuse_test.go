@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -66,27 +67,34 @@ func reuseScenarios(t *testing.T) map[string]func() Config {
 	}
 }
 
+// parkedRun returns the most recently parked run context without taking
+// it off the pool, or nil.
+func parkedRun() *runState {
+	runPool.mu.Lock()
+	defer runPool.mu.Unlock()
+	if n := len(runPool.free); n > 0 {
+		return runPool.free[n-1]
+	}
+	return nil
+}
+
 // TestRunReuseDeterministic is the zero-alloc lifecycle's correctness
 // oracle: a run on a freshly built context and the same run replayed on a
 // pooled, reset-in-place context must produce byte-identical Results —
 // stats, latency samples, energy, and fault counters included. Run under
 // -race in CI, this also proves the pool hands out exclusive contexts.
 func TestRunReuseDeterministic(t *testing.T) {
-	defer UseStackPool()()
 	for name, mk := range reuseScenarios(t) {
 		t.Run(name, func(t *testing.T) {
 			// Empty the pool so the first run builds its context from
-			// scratch, and use a deterministic pool so the reruns are
-			// guaranteed to hit the reset path.
-			UseStackPool()
+			// scratch; the reruns then take it back through the reset path.
+			EmptyPool()
 			fresh := Run(mk())
 			if fresh.TotalRequests() == 0 {
 				t.Fatal("degenerate scenario: nothing completed")
 			}
-			if st, _ := runPool.Get().(*runState); st == nil {
+			if parkedRun() == nil {
 				t.Fatal("run did not return its context to the pool")
-			} else {
-				runPool.Put(st)
 			}
 			for i := 0; i < 3; i++ {
 				if got := Run(mk()); !reflect.DeepEqual(got, fresh) {
@@ -104,6 +112,49 @@ func TestRunReuseDeterministic(t *testing.T) {
 			}
 		})
 	}
+	// The HSA cost model is per-run state, not part of the shape: a run
+	// under another policy, or with KRISP emulated instead of native,
+	// reuses the context the previous run parked and serves exactly like a
+	// freshly built one.
+	m := mustModel(t, "squeezenet")
+	policy := func(k policies.Kind, emulate bool) func() Config {
+		return func() Config {
+			return Config{
+				Policy:         k,
+				GPUs:           2,
+				Workers:        []WorkerSpec{{Model: m, Batch: 32}, {Model: m, Batch: 16}, {Model: m, Batch: 8}},
+				Seed:           14,
+				Warmup:         8_000,
+				Measure:        80_000,
+				ForceEmulation: emulate,
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name        string
+		first, next func() Config
+	}{
+		{"mps-default then krisp-i", policy(policies.MPSDefault, false), policy(policies.KRISPI, false)},
+		{"krisp-i then krisp-i emulated", policy(policies.KRISPI, false), policy(policies.KRISPI, true)},
+		{"krisp-i emulated then mps-default", policy(policies.KRISPI, true), policy(policies.MPSDefault, false)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			EmptyPool()
+			fresh := Run(tc.next())
+			if fresh.TotalRequests() == 0 {
+				t.Fatal("degenerate scenario: nothing completed")
+			}
+			EmptyPool()
+			Run(tc.first())
+			st := parkedRun()
+			if got := Run(tc.next()); !reflect.DeepEqual(got, fresh) {
+				t.Fatalf("run after a policy switch diverged:\nfresh: %+v\npooled: %+v", fresh, got)
+			}
+			if parkedRun() != st {
+				t.Fatal("a policy switch rebuilt the run context instead of reusing it")
+			}
+		})
+	}
 }
 
 // TestPooledRunRebindsTelemetry is the registry-side twin of
@@ -114,7 +165,6 @@ func TestRunReuseDeterministic(t *testing.T) {
 // exactly the series a freshly built context publishes, and must leave
 // the previous run's registry untouched.
 func TestPooledRunRebindsTelemetry(t *testing.T) {
-	defer UseStackPool()()
 	for name, mk := range reuseScenarios(t) {
 		t.Run(name, func(t *testing.T) {
 			run := func() (Result, *telemetry.Registry) {
@@ -122,17 +172,16 @@ func TestPooledRunRebindsTelemetry(t *testing.T) {
 				cfg.Telemetry = telemetry.NewHub(false)
 				return Run(cfg), cfg.Telemetry.Registry()
 			}
-			UseStackPool()
+			EmptyPool()
 			fresh, freshReg := run()
 			want := freshReg.Snapshot()
 			if len(want) == 0 {
 				t.Fatal("degenerate scenario: the registry is empty")
 			}
-			st, _ := runPool.Get().(*runState)
+			st := parkedRun()
 			if st == nil {
 				t.Fatal("a registry-only run did not return its context to the pool")
 			}
-			runPool.Put(st)
 			got, gotReg := run()
 			if !reflect.DeepEqual(got, fresh) {
 				t.Fatal("pooled run with a registry diverged from the fresh result")
@@ -140,10 +189,8 @@ func TestPooledRunRebindsTelemetry(t *testing.T) {
 			if !reflect.DeepEqual(gotReg.Snapshot(), want) {
 				t.Fatal("pooled run's registry differs from a fresh context's")
 			}
-			if again, _ := runPool.Get().(*runState); again != st {
+			if parkedRun() != st {
 				t.Fatal("the pooled run did not reuse the parked context")
-			} else {
-				runPool.Put(again)
 			}
 			run()
 			if !reflect.DeepEqual(gotReg.Snapshot(), want) {
@@ -205,7 +252,7 @@ func TestNodeReplicaReuseDeterministic(t *testing.T) {
 // a pooled context that served the short one must run the long one exactly
 // as a freshly built context does.
 func TestSameNameRecipesKeepTheirKernels(t *testing.T) {
-	defer UseStackPool()()
+	EmptyPool()
 	sq := mustModel(t, "squeezenet")
 	custom := func(n int) models.Model {
 		return models.Custom("same-name", sq.PaperRightSize, func(batch int) []kernels.Desc {
@@ -226,39 +273,60 @@ func TestSameNameRecipesKeepTheirKernels(t *testing.T) {
 	if fresh.TotalRequests() == 0 {
 		t.Fatal("degenerate scenario: nothing completed")
 	}
-	UseStackPool()
+	EmptyPool()
 	Run(cfg(short))
 	if got := Run(cfg(long)); !reflect.DeepEqual(got, fresh) {
 		t.Fatalf("same-name recipe on a pooled context: %.0f RPS, fresh context: %.0f RPS", got.RPS, fresh.RPS)
 	}
 }
 
-// TestNodePoolSkipsTracedHubs pins when Release parks a node: always,
-// unless the node was wired to a hub with a tracer, whose queue thread
-// names were registered when the queues were created.
-func TestNodePoolSkipsTracedHubs(t *testing.T) {
-	defer UseStackPool()()
-	for _, tc := range []struct {
-		name   string
-		hub    *telemetry.Hub
-		pooled bool
-	}{
-		{"no telemetry", nil, true},
-		{"registry only", telemetry.NewHub(false), true},
-		{"tracer", telemetry.NewHub(true), false},
-	} {
-		n := NewNode(NodeConfig{GPUs: 2, Telemetry: tc.hub})
-		n.Release()
-		st, _ := runPool.Get().(*runState)
-		if got := st != nil; got != tc.pooled {
-			t.Errorf("%s: node parked = %v, want %v", tc.name, got, tc.pooled)
-		}
-		if st != nil && st.node != n {
-			t.Errorf("%s: the pool returned a different node", tc.name)
-		}
+// TestPooledTracedRunReplaysTrace is the tracer-side twin of
+// TestRunReuseDeterministic: a context wired to a tracing hub is pooled
+// like any other. Every reuse scenario replayed on the context a traced
+// run parked must write the same Chrome trace, byte for byte, and the same
+// Result as a freshly built context; the parked context must hold nothing
+// of the hub it served. A node wired to a tracing hub is parked by
+// Release as well, and releasing it twice panics.
+func TestPooledTracedRunReplaysTrace(t *testing.T) {
+	for name, mk := range reuseScenarios(t) {
+		t.Run(name, func(t *testing.T) {
+			run := func() (Result, []byte) {
+				cfg := mk()
+				cfg.Telemetry = telemetry.NewHub(true)
+				res := Run(cfg)
+				var buf bytes.Buffer
+				if err := cfg.Telemetry.Trace().WriteChromeTrace(&buf); err != nil {
+					t.Fatal(err)
+				}
+				return res, buf.Bytes()
+			}
+			EmptyPool()
+			fresh, freshTrace := run()
+			st := parkedRun()
+			if st == nil {
+				t.Fatal("a traced run did not return its context to the pool")
+			}
+			requireUnbound(t, st)
+			got, gotTrace := run()
+			if parkedRun() != st {
+				t.Fatal("the traced run did not reuse the parked context")
+			}
+			if !reflect.DeepEqual(got, fresh) {
+				t.Fatal("traced run on a pooled context diverged from the fresh result")
+			}
+			if !bytes.Equal(gotTrace, freshTrace) {
+				t.Fatalf("traced run on a pooled context wrote a %d-byte trace, a fresh context %d bytes",
+					len(gotTrace), len(freshTrace))
+			}
+		})
 	}
-	n := NewNode(NodeConfig{})
+	EmptyPool()
+	n := NewNode(NodeConfig{GPUs: 2, Telemetry: telemetry.NewHub(true)})
 	n.Release()
+	if parkedRun() != n.run {
+		t.Fatal("Release did not park a node wired to a tracing hub")
+	}
+	requireUnbound(t, n.run)
 	defer func() {
 		if recover() == nil {
 			t.Error("a second Release did not panic")
@@ -267,11 +335,36 @@ func TestNodePoolSkipsTracedHubs(t *testing.T) {
 	n.Release()
 }
 
+// requireUnbound fails unless the parked context st holds no handle on the
+// hub of the run that parked it.
+func requireUnbound(t *testing.T, st *runState) {
+	t.Helper()
+	n := st.node
+	if n.cfg.Telemetry != nil {
+		t.Fatal("a parked node still holds its hub")
+	}
+	for g := range n.gpus {
+		s := &n.gpus[g]
+		if s.devTel != nil && (!reflect.ValueOf(*s.devTel).IsZero() || !reflect.ValueOf(*s.cpTel).IsZero()) {
+			t.Fatalf("GPU %d of a parked node still holds device or processor telemetry", g)
+		}
+	}
+	for g, tel := range st.coreTels {
+		if !reflect.ValueOf(*tel).IsZero() {
+			t.Fatalf("a parked context still holds GPU %d's runtime telemetry", g)
+		}
+	}
+	for i := range st.slots {
+		if st.slots[i].tel != nil {
+			t.Fatalf("a parked context still holds worker %d's telemetry", i)
+		}
+	}
+}
+
 // TestReleasedNodeDropsMail: mail still posted when a node is released
 // belongs to the finished run. The node's next user must not receive it —
 // the stale entry points at a replica struct the pool hands out again.
 func TestReleasedNodeDropsMail(t *testing.T) {
-	defer UseStackPool()()
 	m := mustModel(t, "squeezenet")
 	n := NewNode(NodeConfig{Seed: 3})
 	n.Post(1_000, 1_000, n.AddReplica(ReplicaSpec{Model: m, Batch: 8}), 1, 0, 0, false)

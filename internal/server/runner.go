@@ -10,15 +10,13 @@ import (
 	"krisp/internal/sim"
 )
 
-// runShape fingerprints everything baked into a pooled run context at
-// construction time and not reset between runs: the device spec a Device
-// is sized for, the HSA cost model a command processor is configured with,
-// and the stack fan-out. Two configs with equal shapes can share a
-// context; anything else (seeds, windows, policies, jitter, faults) is
+// runShape fingerprints what a pooled run context fixes at construction
+// and never resets: the device spec a Device is sized for and the stack
+// fan-out. Two configs with equal shapes can share a context; everything
+// else (HSA cost model, seeds, windows, policies, jitter, faults, hub) is
 // per-run state the reuse path reapplies.
 type runShape struct {
 	spec gpu.DeviceSpec
-	hsa  hsa.Config
 	gpus int
 }
 
@@ -30,8 +28,7 @@ type runShape struct {
 // device counters, meters, queues, replicas, mailbox) instead of
 // rebuilding the stack.
 type runState struct {
-	shape    runShape
-	poolable bool
+	shape runShape
 
 	node *Node
 	// coreTels holds one runtime telemetry struct per GPU, rebound to each
@@ -52,79 +49,51 @@ type runState struct {
 	assignments []policies.Assignment
 }
 
-// statePool is the interface runPool is held behind. Production uses
-// sync.Pool (exclusive Gets under concurrent runs, idle contexts fall to
-// the garbage collector); the reuse-determinism tests substitute a
-// stackPool through UseStackPool, because under the race detector
-// sync.Pool drops a quarter of Puts on purpose and "did the rerun hit the
-// reset path" becomes unobservable.
-type statePool interface {
-	Get() any
-	Put(any)
+// runPool recycles run contexts across Run invocations and fleet nodes: a
+// LIFO free list, so an acquire gets the most recently parked context. It
+// holds at most as many contexts as were ever live at once, because an
+// acquire that pops a context of another shape drops it.
+var runPool struct {
+	mu   sync.Mutex
+	free []*runState
 }
 
-// runPool recycles run contexts across Run invocations and fleet nodes.
-var runPool statePool = &sync.Pool{}
-
-// stackPool is a deterministic statePool: every Put is retained and Get
-// returns the newest.
-type stackPool struct {
-	mu sync.Mutex
-	xs []any
-}
-
-func (p *stackPool) Get() any {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := len(p.xs)
+// popRun takes the most recently parked context off the pool, or nil.
+func popRun() *runState {
+	runPool.mu.Lock()
+	defer runPool.mu.Unlock()
+	n := len(runPool.free)
 	if n == 0 {
 		return nil
 	}
-	x := p.xs[n-1]
-	p.xs[n-1] = nil
-	p.xs = p.xs[:n-1]
-	return x
+	st := runPool.free[n-1]
+	runPool.free[n-1] = nil
+	runPool.free = runPool.free[:n-1]
+	return st
 }
 
-func (p *stackPool) Put(x any) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.xs = append(p.xs, x)
-}
-
-// UseStackPool swaps the context pool for an empty one that keeps every
-// parked context, so a test can rely on the next Run or NewNode of the
-// same shape reusing one, and returns a func that restores the previous
-// pool. It must not be called while runs are in flight.
-func UseStackPool() (restore func()) {
-	old := runPool
-	runPool = &stackPool{}
-	return func() { runPool = old }
+// EmptyPool drops every parked run context, so the next Run or NewNode
+// builds a fresh one. Tests call it to get a never-pooled reference run.
+func EmptyPool() {
+	runPool.mu.Lock()
+	defer runPool.mu.Unlock()
+	runPool.free = nil
 }
 
 // acquireRun returns a run context for a defaulted node config whose
 // command processors use hsaCfg: a pooled one of the same shape, reset in
 // place and rewired to nc, when available; a freshly built one otherwise.
-// Contexts wired to a hub with a tracer are never pooled — their queues'
-// trace thread names were registered when the queues were created — so
-// they build fresh and are discarded on release.
 func acquireRun(nc NodeConfig, hsaCfg hsa.Config) *runState {
-	shape := runShape{spec: nc.Spec, hsa: hsaCfg, gpus: nc.GPUs}
-	poolable := nc.Telemetry.Trace() == nil
-	if poolable {
-		if v := runPool.Get(); v != nil {
-			st := v.(*runState)
-			if st.shape == shape {
-				st.node.reset()
-				st.node.parked = false
-				st.node.cfg = nc
-				st.node.bindTelemetry()
-				return st
-			}
-			// Shape mismatch: drop the stale context and build fresh.
-		}
+	shape := runShape{spec: nc.Spec, gpus: nc.GPUs}
+	if st := popRun(); st != nil && st.shape == shape {
+		st.node.reset(hsaCfg)
+		st.node.parked = false
+		st.node.cfg = nc
+		st.node.bindTelemetry()
+		return st
 	}
-	st := &runState{shape: shape, poolable: poolable, node: newNode(nc, hsaCfg)}
+	// An empty pool, or a context of another shape, which is dropped.
+	st := &runState{shape: shape, node: newNode(nc, hsaCfg)}
 	st.node.run = st
 	return st
 }
@@ -133,13 +102,14 @@ func acquireRun(nc NodeConfig, hsaCfg hsa.Config) *runState {
 // recycled, devices and meters rezeroed, queues parked on their
 // processors' free lists, every replica parked on its GPU's free list
 // so that a rerun gets the same replicas back in creation order, and the
-// mailbox emptied.
-func (n *Node) reset() {
+// mailbox emptied. The command processors take hsaCfg, the new run's cost
+// model.
+func (n *Node) reset(hsaCfg hsa.Config) {
 	n.eng.Reset()
 	for _, g := range n.gpus {
 		g.dev.Reset()
 		g.meter.Rezero()
-		g.cp.Reset()
+		g.cp.Reset(hsaCfg)
 	}
 	n.inj = nil
 	for i := len(n.replicas) - 1; i >= 0; i-- {
@@ -154,12 +124,40 @@ func (n *Node) reset() {
 	n.mailIdx = 0
 }
 
-// release returns the context to the pool. Only called on the normal exit
-// path — a panicked run never re-pools its half-mutated context.
+// release unbinds the context's telemetry and parks it on the pool. Only
+// called on the normal exit path — a panicked run never re-pools its
+// half-mutated context.
 func (st *runState) release() {
-	if st.poolable {
-		runPool.Put(st)
+	st.unbindTelemetry()
+	runPool.mu.Lock()
+	defer runPool.mu.Unlock()
+	runPool.free = append(runPool.free, st)
+}
+
+// unbindTelemetry drops every handle the context holds on the finished
+// run's hub and kernel trace, so a parked context pins no hub, registry or
+// tracer: the node's config, its stacks' device and processor telemetry,
+// the replicas' runtime configs, the Run runtimes' telemetry, and the
+// workers' slots (batch telemetry, chaos harness, open loop).
+func (st *runState) unbindTelemetry() {
+	n := st.node
+	n.cfg.Telemetry = nil
+	for _, r := range n.replicas {
+		r.rt.Reconfigure(r.rt.Queue(), &r.sizer, core.Config{})
 	}
+	for g := range n.gpus {
+		s := &n.gpus[g]
+		s.dev.SetTelemetry(nil)
+		s.cp.SetTelemetry(nil)
+		if s.devTel != nil {
+			*s.devTel, *s.cpTel = gpu.Telemetry{}, hsa.Telemetry{}
+		}
+	}
+	for _, t := range st.coreTels {
+		*t = core.Telemetry{}
+	}
+	clear(st.slots)
+	st.chaos, st.open = nil, nil
 }
 
 // scratchInts returns buf resized to n, reusing its backing array.

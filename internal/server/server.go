@@ -246,8 +246,8 @@ func serve(cfg Config, ol *openLoop) Result {
 	hsaCfg.KernelScoped = cfg.Policy.KernelScoped() && !cfg.ForceEmulation
 
 	// Acquire the run context: a node whose stacks match this run's shape.
-	// A pooled context is reset in place; everything below reapplies the
-	// per-run configuration on top of it.
+	// A pooled context is reset in place with hsaCfg; everything below
+	// reapplies the per-run configuration on top of it.
 	st := acquireRun(nc, hsaCfg)
 	n := st.node
 	eng := n.eng
@@ -329,7 +329,7 @@ func serve(cfg Config, ol *openLoop) Result {
 		n.setFaults(*cfg.Faults)
 	}
 	inj := n.inj
-	rs := core.NewRightSizer(db, topo.TotalCUs())
+	rs := *core.NewRightSizer(db, topo.TotalCUs())
 
 	for len(st.coreTels) < numGPUs {
 		st.coreTels = append(st.coreTels, new(core.Telemetry))
@@ -368,17 +368,13 @@ func serve(cfg Config, ol *openLoop) Result {
 		}
 		sizer := rs
 		if a.FixedPartition > 0 {
-			sizer = core.NewFixedRightSizer(a.FixedPartition, topo.TotalCUs())
+			sizer = core.FixedRightSizer(a.FixedPartition, topo.TotalCUs())
 		}
 		batch := w.Batch
 		if ol != nil {
 			batch = ol.maxBatch
 		}
 		r := n.addReplica(ReplicaSpec{Model: w.Model, Batch: batch, GPU: g}, sizer, rtCfg)
-		// A replica recycled from a pooled fleet node may still hold its
-		// LLM engine (AddReplica keeps it for reuse); Run's workers always
-		// serve fixed batches.
-		r.llm = nil
 		q := r.rt.Queue()
 		if !a.QueueMask.IsEmpty() && !a.QueueMask.Equal(gpu.FullMask(topo)) {
 			q.SetCUMask(a.QueueMask, nil)

@@ -219,14 +219,6 @@ func (m *BurnMonitor) record(nowUs int64, from, to AlertState) {
 	m.history = append(m.history, AlertTransition{AtUs: nowUs, From: from.String(), To: to.String()})
 }
 
-// History returns the monitor's recent transitions, oldest first.
-func (m *BurnMonitor) History() []AlertTransition {
-	if m == nil {
-		return nil
-	}
-	return m.history
-}
-
 // State returns the current alert level (AlertOK on a nil receiver).
 func (m *BurnMonitor) State() AlertState {
 	if m == nil {

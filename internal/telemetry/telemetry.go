@@ -338,24 +338,6 @@ func (r *Registry) checkFreeLocked(name, want string) {
 	}
 }
 
-// Len returns the number of registered metrics.
-func (r *Registry) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.counters) + len(r.gauges) + len(r.histograms)
-}
-
-// Reset drops every registered metric. Handles already held by instrumented
-// components keep working but are no longer exported — Reset is a test
-// isolation tool, not a production operation.
-func (r *Registry) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.counters = make(map[string]*Counter)
-	r.gauges = make(map[string]*Gauge)
-	r.histograms = make(map[string]*Histogram)
-}
-
 // sortedNames returns every registered name, sorted, for deterministic
 // exposition. Caller must not hold the lock.
 func (r *Registry) sortedNames() []string {

@@ -44,9 +44,6 @@ func NewSeries(widthUs int64, n int) *Series {
 	return &Series{buckets: make([]SeriesPoint, n), width: widthUs, headWin: -1}
 }
 
-// Span returns the rolling span the ring covers, in virtual microseconds.
-func (s *Series) Span() int64 { return s.width * int64(len(s.buckets)) }
-
 // Observe records one observation at tsUs. Observations older than the
 // ring's reach (relative to the newest seen) are dropped; observations in
 // the future advance the head, zeroing any skipped buckets.
