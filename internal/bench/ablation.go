@@ -58,8 +58,8 @@ func (h *Harness) Ablation(w io.Writer) {
 				Workers:      specs,
 				Seed:         h.opts.Seed,
 				MeasureScale: scale,
+				Telemetry:    h.opts.Telemetry,
 			}
-			h.applyProfiles(&cfg)
 			res := server.Run(cfg)
 			vals = append(vals, res.RPS/iso[i])
 		}

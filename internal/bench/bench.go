@@ -67,12 +67,6 @@ type Harness struct {
 	opts Options
 	// evals memoizes MainEval by batch size.
 	evals map[int]*MainEval
-	// profiles shares install-time profiling (performance DBs and model
-	// right-sizes) across all cells of a grid, including parallel ones.
-	profiles profileStore
-	// noProfileShare disables the shared store so determinism tests can
-	// compare against per-cell profiling.
-	noProfileShare bool
 }
 
 // New creates a Harness.
@@ -162,8 +156,8 @@ func (h *Harness) runServer(m models.Model, batch, workers int, policy policies.
 		Seed:         h.opts.Seed,
 		OverlapLimit: overlap,
 		MeasureScale: scale,
+		Telemetry:    h.opts.Telemetry,
 	}
-	h.applyProfiles(&cfg)
 	return server.Run(cfg)
 }
 

@@ -2,15 +2,55 @@ package bench
 
 import (
 	"bytes"
+	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"krisp/internal/models"
 	"krisp/internal/policies"
 )
 
-func quickHarness() *Harness { return New(Options{Seed: 7, Quick: true}) }
+var (
+	quickOnce sync.Once
+	quick     *Harness
+	refOnce   sync.Once
+	refOut    map[string][]byte
+)
+
+// quickHarness returns the one serial seed-7 quick harness the tests of
+// this package share, so its memoized MainEval is measured once per test
+// process. Tests that need a harness of their own (other options, a fresh
+// memo) build it with New.
+func quickHarness() *Harness {
+	quickOnce.Do(func() { quick = New(Options{Seed: 7, Quick: true}) })
+	return quick
+}
+
+// referenceOutputs returns the shared quick harness's rendered table4,
+// fig15 and fig16, computed once per test process: the serial reference
+// the parallel and telemetry runs must match byte for byte.
+func referenceOutputs(t *testing.T) map[string][]byte {
+	t.Helper()
+	refOnce.Do(func() {
+		out := make(map[string][]byte)
+		for _, id := range []string{"table4", "fig15", "fig16"} {
+			var buf bytes.Buffer
+			if err := quickHarness().Run(id, &buf); err != nil {
+				panic(fmt.Sprintf("reference %s: %v", id, err))
+			}
+			out[id] = buf.Bytes()
+		}
+		refOut = out
+	})
+	for id, b := range refOut {
+		if len(b) == 0 {
+			t.Fatalf("reference %s produced no output", id)
+		}
+	}
+	return refOut
+}
 
 func TestExperimentsListAndDispatch(t *testing.T) {
 	h := quickHarness()

@@ -78,12 +78,11 @@ func (h *Harness) Run(id string, w io.Writer) error {
 // right-size, and isolated 95% latency, alongside the paper's values.
 func (h *Harness) Table3(w io.Writer) {
 	title(w, "Table III: inference workloads (measured vs paper)")
-	p := profile.New(profile.DefaultConfig())
 	var t table
 	t.addHeader("model", "kernels", "paper", "right-size", "paper", "p95 ms", "paper")
 	for _, m := range models.TableIII() {
-		ks := m.Kernels(models.CalibrationBatch)
-		rs := p.ModelRightSize(ks)
+		ks := m.Sequence(models.CalibrationBatch)
+		rs := m.RightSize(profile.DefaultConfig(), models.CalibrationBatch)
 		iso := h.runServer(m, models.CalibrationBatch, 1, policies.MPSDefault, nil)
 		t.addRow(m.Name,
 			fmt.Sprint(len(ks)), fmt.Sprint(m.PaperKernels),
@@ -125,7 +124,6 @@ func (h *Harness) Table4(w io.Writer) {
 // throughput and isolated latency versus active CUs.
 func (h *Harness) Fig3(w io.Writer) {
 	title(w, "Fig 3: model sensitivity to GPU resource restriction")
-	p := profile.New(profile.DefaultConfig())
 	step := 4
 	if h.opts.Quick {
 		step = 12
@@ -133,8 +131,7 @@ func (h *Harness) Fig3(w io.Writer) {
 	var t table
 	t.addHeader("model", "CUs", "norm throughput", "latency ms")
 	for _, m := range models.All() {
-		sweep := p.CUSweep(m.Kernels(models.CalibrationBatch))
-		for _, pt := range sweep {
+		for _, pt := range m.Sweep(profile.DefaultConfig(), models.CalibrationBatch) {
 			if pt.CUs%step != 0 && pt.CUs != 1 {
 				continue
 			}
@@ -186,10 +183,9 @@ func (h *Harness) Fig4(w io.Writer) {
 // size (total threads, Fig. 6a) and input size (Fig. 6b), by kernel family.
 func (h *Harness) Fig6(w io.Writer) {
 	title(w, "Fig 6: kernel minCU vs kernel size and input size")
-	p := profile.New(profile.DefaultConfig())
 	db := profile.NewDB()
 	for _, m := range models.All() {
-		db.Profile(p, m.Kernels(models.CalibrationBatch))
+		db.Merge(m.DB(profile.DefaultConfig(), models.CalibrationBatch))
 	}
 	entries := db.Entries()
 	sort.Slice(entries, func(i, j int) bool {
@@ -419,9 +415,9 @@ func (h *Harness) Fig15(w io.Writer) {
 				{Model: job.a, Batch: models.CalibrationBatch},
 				{Model: job.b, Batch: models.CalibrationBatch},
 			},
-			Seed: h.opts.Seed,
+			Seed:      h.opts.Seed,
+			Telemetry: h.opts.Telemetry,
 		}
-		h.applyProfiles(&cfg)
 		res := server.Run(cfg)
 		// Normalize each worker's throughput to its model's isolated
 		// rate, then sum — 2.0 means both ran at full isolated speed.
@@ -565,7 +561,7 @@ func (h *Harness) runServerEmulated(m models.Model, batch int) server.Result {
 		Workers:        []server.WorkerSpec{{Model: m, Batch: batch}},
 		Seed:           h.opts.Seed,
 		ForceEmulation: true,
+		Telemetry:      h.opts.Telemetry,
 	}
-	h.applyProfiles(&cfg)
 	return server.Run(cfg)
 }

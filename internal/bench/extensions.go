@@ -88,8 +88,8 @@ func (h *Harness) LoadSweep(w io.Writer) {
 				Workers:      specs,
 				Seed:         h.opts.Seed,
 				MeasureScale: scale,
+				Telemetry:    h.opts.Telemetry,
 			}
-			h.applyProfiles(&cfg)
 			res := server.RunOpenLoop(cfg, server.Arrival{RatePerSec: rate})
 			row = append(row,
 				fmt.Sprintf("%.1f", res.RequestLatency.P95()/1000),

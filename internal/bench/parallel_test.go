@@ -9,27 +9,22 @@ import (
 // Options.Parallel: every grid cell owns its simulation engine and RNG, so
 // fanning the grid across workers must produce byte-identical experiment
 // output — not merely statistically similar numbers. It runs the grid
-// experiments serially and at 8 workers and compares the rendered bytes.
+// experiments at 8 workers and compares the rendered bytes with the serial
+// reference.
 func TestParallelGridOutputMatchesSerial(t *testing.T) {
-	serial := New(Options{Seed: 7, Quick: true, Parallel: 1})
+	ref := referenceOutputs(t)
 	par := New(Options{Seed: 7, Quick: true, Parallel: 8})
 
 	// table4 exercises the MainEval grid; fig15 the pair study; fig16 the
 	// overlap sweep (reusing the memoized MainEval within each harness).
 	for _, id := range []string{"table4", "fig15", "fig16"} {
-		var a, b bytes.Buffer
-		if err := serial.Run(id, &a); err != nil {
-			t.Fatalf("serial %s: %v", id, err)
-		}
+		var b bytes.Buffer
 		if err := par.Run(id, &b); err != nil {
 			t.Fatalf("parallel %s: %v", id, err)
 		}
-		if a.Len() == 0 {
-			t.Fatalf("%s produced no output", id)
-		}
-		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		if !bytes.Equal(ref[id], b.Bytes()) {
 			t.Errorf("%s: parallel output differs from serial\n--- serial ---\n%s\n--- parallel ---\n%s",
-				id, a.String(), b.String())
+				id, ref[id], b.String())
 		}
 	}
 }

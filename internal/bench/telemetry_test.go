@@ -12,22 +12,16 @@ import (
 // shared across every grid cell) must render exactly the same experiment
 // bytes as a run with telemetry off.
 func TestTelemetryOutputByteIdentical(t *testing.T) {
-	plain := New(Options{Seed: 7, Quick: true, Parallel: 1})
+	ref := referenceOutputs(t)
 	traced := New(Options{Seed: 7, Quick: true, Parallel: 1, Telemetry: telemetry.NewHub(true)})
 
-	var a, b bytes.Buffer
-	if err := plain.Run("table4", &a); err != nil {
-		t.Fatalf("plain: %v", err)
-	}
+	var b bytes.Buffer
 	if err := traced.Run("table4", &b); err != nil {
 		t.Fatalf("traced: %v", err)
 	}
-	if a.Len() == 0 {
-		t.Fatal("no output")
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+	if !bytes.Equal(ref["table4"], b.Bytes()) {
 		t.Errorf("telemetry changed experiment output\n--- off ---\n%s\n--- on ---\n%s",
-			a.String(), b.String())
+			ref["table4"], b.String())
 	}
 }
 
@@ -35,14 +29,20 @@ func TestTelemetryOutputByteIdentical(t *testing.T) {
 // the parallel harness: every cell of table4 writes the same shared
 // registry (and tracer) concurrently. Run under -race this is the
 // concurrent-writes exercise for the whole instrumented stack; the
-// assertions check the shared handles accumulated across all cells.
+// assertions check the shared handles accumulated across all cells, and
+// that the rendered bytes still match the serial untraced reference.
 func TestParallelGridSharesRegistry(t *testing.T) {
+	ref := referenceOutputs(t)
 	hub := telemetry.NewHub(true)
 	h := New(Options{Seed: 7, Quick: true, Parallel: 8, Telemetry: hub})
 
 	var out bytes.Buffer
 	if err := h.Run("table4", &out); err != nil {
 		t.Fatalf("table4: %v", err)
+	}
+	if !bytes.Equal(ref["table4"], out.Bytes()) {
+		t.Errorf("traced parallel table4 differs from the serial reference\n--- serial ---\n%s\n--- traced parallel ---\n%s",
+			ref["table4"], out.String())
 	}
 	if v := hub.Registry().Counter("krisp_hsa_dispatches_total{gpu=\"0\"}", "").Value(); v == 0 {
 		t.Error("no dispatches recorded across the grid")

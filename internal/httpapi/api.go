@@ -75,14 +75,12 @@ type ModelInfo struct {
 }
 
 func handleModels(w http.ResponseWriter, r *http.Request) {
-	p := profile.New(profile.DefaultConfig())
 	out := make([]ModelInfo, 0, len(models.All()))
 	for _, m := range models.All() {
-		ks := m.Kernels(models.CalibrationBatch)
 		out = append(out, ModelInfo{
 			Name:      m.Name,
-			Kernels:   len(ks),
-			RightSize: p.ModelRightSize(ks),
+			Kernels:   len(m.Sequence(models.CalibrationBatch)),
+			RightSize: m.RightSize(profile.DefaultConfig(), models.CalibrationBatch),
 			PaperP95:  m.PaperP95Ms,
 		})
 	}
@@ -106,10 +104,7 @@ func handleProfile(w http.ResponseWriter, r *http.Request) {
 		}
 		batch = v
 	}
-	p := profile.New(profile.DefaultConfig())
-	db := profile.NewDB()
-	db.Profile(p, m.Kernels(batch))
-	writeJSON(w, http.StatusOK, db.Entries())
+	writeJSON(w, http.StatusOK, m.DB(profile.DefaultConfig(), batch).Entries())
 }
 
 // SimulateRequest is the body of POST /v1/simulate.

@@ -168,34 +168,6 @@ func Conv2D(batch, cin, h, w, cout, k, stride int) Desc {
 	return build(FamilyConvDirect, wgs, 256, flopsPerOut*tile, in+weights+out, in)
 }
 
-// Conv2DFFT models MIOpen's FFT-based convolution path: fewer, fatter
-// workgroups with heavy scratch traffic. The paper's Fig. 6a highlights
-// this family (green circles) as exceeding the GPU's thread limit while
-// still tolerating CU restriction — the scratch traffic makes it
-// bandwidth-bound.
-func Conv2DFFT(batch, cin, h, w, cout, k int) Desc {
-	outElems := batch * cout * h * w
-	const tile = 8192
-	wgs := (outElems + tile - 1) / tile
-	// FFT replaces the k*k MACs with log-factor work but reads/writes
-	// transformed scratch several times.
-	flopsPerOut := float64(8 * cin)
-	in := float64(batch*cin*h*w) * f32
-	scratch := 6 * (in + float64(outElems)*f32)
-	return build(FamilyConvFFT, wgs, 512, flopsPerOut*tile, scratch, in)
-}
-
-// GroupedConv models grouped/depthwise convolution (shufflenet-style).
-// Little weight reuse makes it bandwidth-hungry per FLOP.
-func GroupedConv(batch, channels, h, w, k, groups int) Desc {
-	outElems := batch * channels * h * w
-	const tile = 2048
-	wgs := (outElems + tile - 1) / tile
-	flopsPerOut := float64(2 * k * k * channels / groups)
-	in := float64(batch*channels*h*w) * f32
-	return build(FamilyConvGroup, wgs, 256, flopsPerOut*tile, 2.2*in, in)
-}
-
 // GEMM models a rocBLAS SGEMM C[m,n] += A[m,k] x B[k,n] with 128x128
 // macro-tiles, optionally batched.
 func GEMM(batch, m, n, k int) Desc {
@@ -205,17 +177,6 @@ func GEMM(batch, m, n, k int) Desc {
 	bytes := float64(batch*(m*k+k*n+m*n)) * f32
 	in := float64(batch*m*k) * f32
 	return build(FamilyGEMM, wgs, 256, flopsPerWG, bytes, in)
-}
-
-// GEMMSmall models the 64x64-tile SGEMM variant rocBLAS selects for
-// skinnier problems; more workgroups, lower efficiency.
-func GEMMSmall(batch, m, n, k int) Desc {
-	tm, tn := (m+63)/64, (n+63)/64
-	wgs := tm * tn * batch
-	flopsPerWG := float64(2 * 64 * 64 * k)
-	bytes := float64(batch*(m*k+k*n+m*n)) * f32
-	in := float64(batch*m*k) * f32
-	return build(FamilyGEMMSmall, wgs, 256, flopsPerWG, bytes, in)
 }
 
 // BatchNorm models inference-mode spatial batch norm over batch x c x h x w.
@@ -263,29 +224,12 @@ func Elementwise(elems, arity int) Desc {
 	return build(FamilyElementwise, wgs, 256, float64(2*perWG), bytes, float64(elems*arity)*f32)
 }
 
-// Reduce models a tree reduction over elems elements.
-func Reduce(elems int) Desc {
-	const perWG = 8192
-	wgs := (elems + perWG - 1) / perWG
-	bytes := float64(elems) * f32
-	return build(FamilyReduce, wgs, 512, float64(2*perWG), bytes, bytes)
-}
-
 // Embedding models an embedding-table gather of rows x dim.
 func Embedding(rows, dim int) Desc {
 	const rowsPerWG = 16
 	wgs := (rows + rowsPerWG - 1) / rowsPerWG
 	bytes := float64(rows*dim) * f32 * 2
 	return build(FamilyEmbedding, wgs, 256, float64(dim*rowsPerWG), bytes, bytes/2)
-}
-
-// Im2Col models the im2col expansion preceding GEMM-based convolution.
-func Im2Col(batch, cin, h, w, k int) Desc {
-	elems := batch * cin * h * w * k * k
-	const perWG = 8192
-	wgs := (elems + perWG - 1) / perWG
-	bytes := float64(elems) * f32 * 1.2
-	return build(FamilyIm2Col, wgs, 256, float64(perWG), bytes, float64(batch*cin*h*w)*f32)
 }
 
 // VecMult is the microbenchmark kernel of the paper's Fig. 8: a dense

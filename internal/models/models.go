@@ -27,6 +27,7 @@ import (
 
 	"krisp/internal/gpu"
 	"krisp/internal/kernels"
+	"krisp/internal/profile"
 	"krisp/internal/sim"
 )
 
@@ -54,14 +55,36 @@ type Model struct {
 	recipe *recipe
 }
 
-// recipe pairs a kernel-sequence builder with the sequences it has built,
-// one per batch size. The memo is process-wide and guarded by a mutex,
-// because grid harnesses serve cells on several goroutines at once.
+// recipe pairs a kernel-sequence builder with what it has built: the
+// sequences, one per batch size, and their install-time profiles, one per
+// profiling configuration and batch. The memo lives as long as the recipe
+// and is guarded by a mutex, because grid harnesses serve cells on several
+// goroutines at once.
 type recipe struct {
 	build func(batch int) []kernels.Desc
 
-	mu   sync.Mutex
-	seqs map[int][]kernels.Desc
+	mu       sync.Mutex
+	seqs     map[int][]kernels.Desc
+	profiles map[profileKey]*profiled
+}
+
+// profileKey identifies one profiling unit of a recipe. The configuration
+// is normalized, so it holds the values the profiler actually used.
+type profileKey struct {
+	cfg   profile.Config
+	batch int
+}
+
+// profiled holds one unit's profiling results. Each part is built on first
+// use, outside the recipe's lock and at most once: a fleet sizes
+// partitions from the sweep and never reads the database.
+type profiled struct {
+	dbOnce sync.Once
+	db     *profile.DB
+
+	sweepOnce sync.Once
+	sweep     []profile.SweepPoint
+	rightSize int
 }
 
 // Kernels returns the kernel-call sequence for one inference pass at the
@@ -96,6 +119,65 @@ func (m Model) Sequence(batch int) []kernels.Desc {
 		r.seqs[batch] = ks
 	}
 	return ks
+}
+
+// profiled returns the recipe's profiling unit for cfg at batch, creating
+// it empty on first use, and the normalized cfg it is keyed by.
+func (m Model) profiled(cfg profile.Config, batch int) (*profiled, profile.Config) {
+	if batch < 1 {
+		panic(fmt.Sprintf("models: batch %d", batch))
+	}
+	cfg = cfg.WithDefaults()
+	key := profileKey{cfg: cfg, batch: batch}
+	r := m.recipe
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	p, ok := r.profiles[key]
+	if !ok {
+		p = new(profiled)
+		if r.profiles == nil {
+			r.profiles = make(map[profileKey]*profiled)
+		}
+		r.profiles[key] = p
+	}
+	return p, cfg
+}
+
+// DB returns the performance database of the model's kernels at the given
+// batch size, profiled under cfg on first use (the install-time step). The
+// database is shared for the life of the recipe and must not be modified.
+func (m Model) DB(cfg profile.Config, batch int) *profile.DB {
+	p, cfg := m.profiled(cfg, batch)
+	p.dbOnce.Do(func() {
+		db := profile.NewDB()
+		db.Profile(profile.New(cfg), m.Sequence(batch))
+		p.db = db
+	})
+	return p.db
+}
+
+// Sweep returns the model's CU sweep (Fig. 3) at the given batch size
+// under cfg, computed on first use; its last point is the full-GPU
+// latency. The slice is shared for the life of the recipe and must not be
+// modified.
+func (m Model) Sweep(cfg profile.Config, batch int) []profile.SweepPoint {
+	return m.swept(cfg, batch).sweep
+}
+
+// RightSize returns the model-wise right-size at the given batch size under
+// cfg, read off the memoized sweep.
+func (m Model) RightSize(cfg profile.Config, batch int) int {
+	return m.swept(cfg, batch).rightSize
+}
+
+func (m Model) swept(cfg profile.Config, batch int) *profiled {
+	p, cfg := m.profiled(cfg, batch)
+	p.sweepOnce.Do(func() {
+		prof := profile.New(cfg)
+		p.sweep = prof.CUSweep(m.Sequence(batch))
+		p.rightSize = prof.SweepRightSize(p.sweep)
+	})
+	return p
 }
 
 // All lists every workload, in the paper's Table III order, with

@@ -52,11 +52,18 @@ type Profiler struct {
 	maskCache []gpu.CUMask
 }
 
-// New creates a Profiler for the configured device.
-func New(cfg Config) *Profiler {
+// WithDefaults returns cfg with a non-positive Tolerance replaced by the
+// 5% default: the configuration a Profiler actually runs with.
+func (cfg Config) WithDefaults() Config {
 	if cfg.Tolerance <= 0 {
 		cfg.Tolerance = 0.05
 	}
+	return cfg
+}
+
+// New creates a Profiler for the configured device.
+func New(cfg Config) *Profiler {
+	cfg = cfg.WithDefaults()
 	p := &Profiler{
 		cfg: cfg,
 		dev: gpu.NewDevice(sim.New(), cfg.Spec, nil),
@@ -97,17 +104,7 @@ func (p *Profiler) KernelLatency(work gpu.KernelWork, n int) sim.Duration {
 // the full-GPU latency. Scanning from the top handles the (physical)
 // non-monotonicities that SE-boundary effects introduce.
 func (p *Profiler) KernelMinCU(work gpu.KernelWork) int {
-	total := p.cfg.Spec.Topo.TotalCUs()
-	full := p.KernelLatency(work, total)
-	limit := full * (1 + p.cfg.Tolerance)
-	minCU := total
-	for n := total; n >= 1; n-- {
-		if p.KernelLatency(work, n) > limit {
-			break
-		}
-		minCU = n
-	}
-	return minCU
+	return p.knee(func(n int) sim.Duration { return p.KernelLatency(work, n) })
 }
 
 // ModelLatency returns the isolated latency of a full inference pass (the
@@ -124,12 +121,22 @@ func (p *Profiler) ModelLatency(descs []kernels.Desc, n int) sim.Duration {
 // kneepoint): the smallest partition that keeps the whole inference pass
 // within Tolerance of its full-GPU latency.
 func (p *Profiler) ModelRightSize(descs []kernels.Desc) int {
+	return p.knee(func(n int) sim.Duration { return p.ModelLatency(descs, n) })
+}
+
+// SweepRightSize reads ModelRightSize's kneepoint off the model's CUSweep.
+func (p *Profiler) SweepRightSize(sweep []SweepPoint) int {
+	return p.knee(func(n int) sim.Duration { return sweep[n-1].Latency })
+}
+
+// knee scans partition sizes down from the full device and returns the
+// smallest one whose latency stays within Tolerance of the full-GPU value.
+func (p *Profiler) knee(latency func(n int) sim.Duration) int {
 	total := p.cfg.Spec.Topo.TotalCUs()
-	full := p.ModelLatency(descs, total)
-	limit := full * (1 + p.cfg.Tolerance)
+	limit := latency(total) * (1 + p.cfg.Tolerance)
 	minCU := total
 	for n := total; n >= 1; n-- {
-		if p.ModelLatency(descs, n) > limit {
+		if latency(n) > limit {
 			break
 		}
 		minCU = n
@@ -236,6 +243,16 @@ func (db *DB) Add(e Entry) {
 	}
 	db.entries[e.Key] = e
 	db.minCUs[variant{name: e.Name, workgroups: e.Workgroups, threadsPerWG: e.ThreadsPerWG}] = e.MinCU
+}
+
+// Merge adds every row of other whose variant db lacks, so the first
+// profile of a variant wins, as in Profile.
+func (db *DB) Merge(other *DB) {
+	for key, e := range other.entries {
+		if _, ok := db.entries[key]; !ok {
+			db.Add(e)
+		}
+	}
 }
 
 // Profile profiles every kernel and records it in the database. It is the

@@ -78,54 +78,30 @@ func (p Plan) InstancesOf(model string) int {
 	return n
 }
 
-// Planner sizes and places gpulets from profiled latency curves.
+// Planner sizes and places gpulets from profiled latency curves: the
+// models' memoized CU sweeps under one profiling configuration.
 type Planner struct {
-	prof     *profile.Profiler
+	cfg      profile.Config
 	totalCUs int
 	// SLOFactor is the tolerated latency multiple of the isolated
 	// full-GPU latency (the paper's SLO definition uses 2x).
 	SLOFactor float64
-	// sweeps caches per model/batch latency curves; llmSizings caches
-	// per-phase LLM right-sizing decisions.
-	sweeps     map[sweepKey][]profile.SweepPoint
-	llmSizings map[llmSizingKey]LLMSizing
-}
-
-type sweepKey struct {
-	model string
-	batch int
-}
-
-type llmSizingKey struct {
-	model                         string
-	avgPrompt, avgOutput, maxSeqs int
 }
 
 // NewPlanner creates a planner over the given profiling configuration.
 func NewPlanner(cfg profile.Config) *Planner {
-	return &Planner{
-		prof:      profile.New(cfg),
-		totalCUs:  cfg.Spec.Topo.TotalCUs(),
-		SLOFactor: 2,
-		sweeps:    make(map[sweepKey][]profile.SweepPoint),
-	}
-}
-
-func (p *Planner) sweep(m models.Model, batch int) []profile.SweepPoint {
-	key := sweepKey{m.Name, batch}
-	if s, ok := p.sweeps[key]; ok {
-		return s
-	}
-	s := p.prof.CUSweep(m.Sequence(batch))
-	p.sweeps[key] = s
-	return s
+	return &Planner{cfg: cfg, totalCUs: cfg.Spec.Topo.TotalCUs(), SLOFactor: 2}
 }
 
 // InstanceRPS returns the profiled throughput (requests/second) of one
 // instance of the model at an n-CU partition. The cluster placer uses it
 // to turn gpulet sizes back into capacity estimates.
 func (p *Planner) InstanceRPS(m models.Model, batch, n int) float64 {
-	s := p.sweep(m, batch)
+	return instanceRPS(m.Sweep(p.cfg, batch), batch, n)
+}
+
+// instanceRPS reads one instance's throughput at n CUs off a sweep.
+func instanceRPS(s []profile.SweepPoint, batch, n int) float64 {
 	lat := float64(s[n-1].Latency) // microseconds per batch
 	return float64(batch) / lat * 1e6
 }
@@ -134,7 +110,7 @@ func (p *Planner) InstanceRPS(m models.Model, batch, n int) float64 {
 // full-GPU batch latency, the paper's QoS definition. The cluster router
 // scores completed requests against it.
 func (p *Planner) SLOLatency(m models.Model, batch int) sim.Duration {
-	s := p.sweep(m, batch)
+	s := m.Sweep(p.cfg, batch)
 	return sim.Duration(p.SLOFactor * float64(s[p.totalCUs-1].Latency))
 }
 
@@ -169,7 +145,7 @@ func (p *Planner) Sizing(m models.Model, batch int, rate float64) Sizing {
 	if math.IsNaN(rate) || math.IsInf(rate, 0) {
 		panic(fmt.Sprintf("sched: non-finite rate %v for model %s", rate, m.Name))
 	}
-	s := p.sweep(m, batch)
+	s := m.Sweep(p.cfg, batch)
 	fullLat := float64(s[p.totalCUs-1].Latency)
 	// Minimum CUs that keeps latency within the SLO.
 	minQoS := p.totalCUs
@@ -182,17 +158,17 @@ func (p *Planner) Sizing(m models.Model, batch int, rate float64) Sizing {
 	if rate <= 0 {
 		// No offered load: keep one warm instance at the QoS floor.
 		return Sizing{CUs: minQoS, Instances: 1, MinQoSCUs: minQoS,
-			PerInstanceRPS: p.InstanceRPS(m, batch, minQoS)}
+			PerInstanceRPS: instanceRPS(s, batch, minQoS)}
 	}
 	// Scale out until the per-instance rate share is achievable, then
 	// pick the smallest size that carries the share.
 	for instances := 1; ; instances++ {
 		share := rate / float64(instances)
-		if p.InstanceRPS(m, batch, p.totalCUs) < share {
+		if instanceRPS(s, batch, p.totalCUs) < share {
 			continue // even a whole GPU cannot carry the share
 		}
 		for n := minQoS; n <= p.totalCUs; n++ {
-			if rps := p.InstanceRPS(m, batch, n); rps >= share {
+			if rps := instanceRPS(s, batch, n); rps >= share {
 				return Sizing{CUs: n, Instances: instances, MinQoSCUs: minQoS, PerInstanceRPS: rps}
 			}
 		}
@@ -248,7 +224,6 @@ func (s LLMSizing) Instances(rate float64, avgOutput int) (prefill, decode int) 
 // LLMSizing profiles the model's two phases at representative lengths —
 // a prefill over avgPrompt tokens and a decode step of maxSeqs sequences
 // at their mean resident context — and right-sizes each independently.
-// Results are cached per (model, lengths, maxSeqs).
 func (p *Planner) LLMSizing(m llm.Model, avgPrompt, avgOutput, maxSeqs int) LLMSizing {
 	if avgPrompt < 1 {
 		avgPrompt = 1
@@ -259,32 +234,25 @@ func (p *Planner) LLMSizing(m llm.Model, avgPrompt, avgOutput, maxSeqs int) LLMS
 	if maxSeqs < 1 {
 		maxSeqs = 8
 	}
-	key := llmSizingKey{m.Name, avgPrompt, avgOutput, maxSeqs}
-	if s, ok := p.llmSizings[key]; ok {
-		return s
-	}
+	prof := profile.New(p.cfg)
 	pre := m.PrefillKernels(avgPrompt)
 	dec := m.DecodeKernels(maxSeqs, maxSeqs*(avgPrompt+avgOutput/2))
 	sz := LLMSizing{
-		PrefillCUs: p.prof.ModelRightSize(pre),
-		DecodeCUs:  p.prof.ModelRightSize(dec),
+		PrefillCUs: prof.ModelRightSize(pre),
+		DecodeCUs:  prof.ModelRightSize(dec),
 	}
 	sz.SharedCUs = sz.PrefillCUs
 	if sz.DecodeCUs > sz.SharedCUs {
 		sz.SharedCUs = sz.DecodeCUs
 	}
-	sz.PrefillLatency = p.prof.ModelLatency(pre, sz.PrefillCUs)
-	sz.DecodeStepLatency = p.prof.ModelLatency(dec, sz.DecodeCUs)
+	sz.PrefillLatency = prof.ModelLatency(pre, sz.PrefillCUs)
+	sz.DecodeStepLatency = prof.ModelLatency(dec, sz.DecodeCUs)
 	if sz.PrefillLatency > 0 {
 		sz.PrefillRPS = 1e6 / float64(sz.PrefillLatency)
 	}
 	if sz.DecodeStepLatency > 0 {
 		sz.DecodeTokPS = float64(maxSeqs) * 1e6 / float64(sz.DecodeStepLatency)
 	}
-	if p.llmSizings == nil {
-		p.llmSizings = make(map[llmSizingKey]LLMSizing)
-	}
-	p.llmSizings[key] = sz
 	return sz
 }
 

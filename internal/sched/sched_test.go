@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"krisp/internal/kernels"
 	"krisp/internal/models"
 	"krisp/internal/profile"
 	"krisp/internal/reconfig"
@@ -50,7 +51,7 @@ func TestSizeForRespectsQoSFloor(t *testing.T) {
 		}
 		// The sized partition must satisfy the SLO: latency within
 		// SLOFactor of the isolated full-GPU latency.
-		sweep := p.prof.CUSweep(m.Kernels(32))
+		sweep := profile.New(p.cfg).CUSweep(m.Kernels(32))
 		full := float64(sweep[59].Latency)
 		if got := float64(sweep[cus-1].Latency); got > p.SLOFactor*full {
 			t.Errorf("%s sized to %d CUs: latency %.0f exceeds SLO %.0f",
@@ -236,9 +237,37 @@ func TestSLOLatencyIsFactorOfIsolated(t *testing.T) {
 	p := planner()
 	m := model(t, "resnet152")
 	slo := p.SLOLatency(m, 32)
-	full := p.sweep(m, 32)[p.totalCUs-1].Latency
+	full := m.Sweep(p.cfg, 32)[p.totalCUs-1].Latency
 	if got := float64(slo); got != p.SLOFactor*float64(full) {
 		t.Fatalf("SLOLatency = %v, want %v x %v", got, p.SLOFactor, full)
+	}
+}
+
+// TestPlannerSeparatesSameNameRecipes guards against keying latency
+// curves by model name: two Custom recipes share one name, the second with
+// twice the kernels, and one planner must size each exactly as a fresh
+// planner does.
+func TestPlannerSeparatesSameNameRecipes(t *testing.T) {
+	sq := model(t, "squeezenet")
+	custom := func(copies int) models.Model {
+		return models.Custom("same-name", 21, func(batch int) []kernels.Desc {
+			var ks []kernels.Desc
+			for i := 0; i < copies; i++ {
+				ks = append(ks, sq.Kernels(batch)...)
+			}
+			return ks
+		})
+	}
+	one, two := custom(1), custom(2)
+	p := planner()
+	for _, m := range []models.Model{one, two} {
+		if got, want := p.SLOLatency(m, 32), planner().SLOLatency(m, 32); got != want {
+			t.Errorf("%d-kernel recipe: SLOLatency %v from a shared planner, %v from a fresh one",
+				len(m.Sequence(32)), got, want)
+		}
+	}
+	if p.SLOLatency(one, 32) == p.SLOLatency(two, 32) {
+		t.Fatal("recipes with different kernels got one SLO")
 	}
 }
 

@@ -60,12 +60,12 @@ type Config struct {
 	GPUs int
 	// Workers lists the co-located model workers (all drive max load).
 	Workers []WorkerSpec
-	// DB is the profiled performance database; built on the fly if nil.
+	// DB is the profiled performance database; nil means BuildDB's.
 	DB *profile.DB
 	// RightSizes, when non-nil, supplies precomputed ModelRightSize results
 	// keyed "model/batch" (the key format of fmt.Sprintf("%s/%d", model,
-	// batch)); workers missing from the map are profiled on the fly. Grid
-	// harnesses share one profiling pass across cells this way.
+	// batch)); workers missing from the map read their recipe's memoized
+	// right-size.
 	RightSizes map[string]int
 	// Seed drives the per-worker latency jitter.
 	Seed int64
@@ -172,15 +172,29 @@ func (r *Result) MaxP95() float64 {
 	return worst
 }
 
-// BuildDB profiles every kernel of every worker's model at its batch size —
-// the install-time profiling step — and returns the performance database.
+// BuildDB returns the performance database covering every kernel of every
+// worker's model at its batch size: the install-time profiling step. It is
+// profiled at a fixed 6 us launch cost, the install-time default, whatever
+// HSA cost model a run later uses. A single-model worker set gets the
+// recipe's shared database, which must not be modified; a mixed set gets a
+// fresh merge of the per-model databases in worker order, where the first
+// profile of a kernel variant wins.
 func BuildDB(spec gpu.DeviceSpec, workers []WorkerSpec) *profile.DB {
-	p := profile.New(profile.Config{Spec: spec, Tolerance: 0.05, LaunchOverhead: 6})
-	db := profile.NewDB()
-	for _, w := range workers {
-		db.Profile(p, w.Model.Sequence(w.Batch))
+	cfg := profile.Config{Spec: spec, Tolerance: 0.05, LaunchOverhead: 6}
+	if len(workers) == 0 {
+		return profile.NewDB()
 	}
-	return db
+	first := workers[0]
+	for _, w := range workers[1:] {
+		if w.Model != first.Model || w.Batch != first.Batch {
+			db := profile.NewDB()
+			for _, w := range workers {
+				db.Merge(w.Model.DB(cfg, w.Batch))
+			}
+			return db
+		}
+	}
+	return first.Model.DB(cfg, first.Batch)
 }
 
 // Run executes one serving experiment and returns windowed measurements.
@@ -207,24 +221,16 @@ func serve(cfg Config, ol *openLoop) Result {
 	numGPUs := nc.GPUs
 	chaosArmed := !cfg.Faults.Empty()
 
-	// The profiler backs window auto-sizing and on-the-fly right-sizing;
-	// a fully specified run (explicit windows, precomputed right-sizes,
-	// prebuilt DB) never touches it, so it is built lazily — profiler
-	// construction is a measurable slice of a pooled run's setup cost.
-	var prof *profile.Profiler
-	getProf := func() *profile.Profiler {
-		if prof == nil {
-			prof = profile.New(profile.Config{Spec: nc.Spec, Tolerance: 0.05, LaunchOverhead: nc.HSA.PacketProcessTime})
-		}
-		return prof
-	}
+	// Window sizing and model right-sizes read the recipes' memoized
+	// sweeps, profiled at this run's launch cost.
+	profCfg := profile.Config{Spec: nc.Spec, Tolerance: 0.05, LaunchOverhead: nc.HSA.PacketProcessTime}
 
 	// The slowest worker's isolated latency sizes the windows and, when
 	// chaos is armed, the watchdog and SLO-guard defaults.
 	var slowest sim.Duration
 	if cfg.Warmup == 0 || cfg.Measure == 0 || chaosArmed {
 		for _, w := range cfg.Workers {
-			if l := getProf().ModelLatency(w.Model.Sequence(w.Batch), topo.TotalCUs()); l > slowest {
+			if l := w.Model.Sweep(profCfg, w.Batch)[topo.TotalCUs()-1].Latency; l > slowest {
 				slowest = l
 			}
 		}
@@ -260,16 +266,10 @@ func serve(cfg Config, ol *openLoop) Result {
 	rightSizes := scratchInts(st.rightSizes, len(cfg.Workers))
 	st.rightSizes = rightSizes
 	if cfg.Policy == policies.ModelRightSize || cfg.Policy == policies.MRSRequest {
-		cache := map[string]int{}
 		for i, w := range cfg.Workers {
-			key := fmt.Sprintf("%s/%d", w.Model.Name, w.Batch)
-			rs, ok := cfg.RightSizes[key]
+			rs, ok := cfg.RightSizes[fmt.Sprintf("%s/%d", w.Model.Name, w.Batch)]
 			if !ok {
-				rs, ok = cache[key]
-				if !ok {
-					rs = getProf().ModelRightSize(w.Model.Sequence(w.Batch))
-					cache[key] = rs
-				}
+				rs = w.Model.RightSize(profCfg, w.Batch)
 			}
 			rightSizes[i] = rs
 		}

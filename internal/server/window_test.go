@@ -1,11 +1,15 @@
 package server
 
 import (
+	"reflect"
 	"testing"
 
 	"krisp/internal/alloc"
 	"krisp/internal/gpu"
+	"krisp/internal/kernels"
+	"krisp/internal/models"
 	"krisp/internal/policies"
+	"krisp/internal/profile"
 )
 
 func TestMeasureScaleShrinksWindow(t *testing.T) {
@@ -104,5 +108,40 @@ func TestBuildDBCoversAllWorkers(t *testing.T) {
 			// reporting 60 means profiling missed it.
 			t.Fatalf("kernel %s appears unprofiled (minCU=60, %d WGs)", d.Key(), d.Work.Workgroups)
 		}
+	}
+}
+
+// TestBuildDBMatchesOnePass pins BuildDB against the one-pass build it
+// replaces: a single profiler at the install-time launch cost walking every
+// worker's sequence in order, skipping variants already profiled. The
+// first worker is a same-named variant of squeezenet whose kernels keep
+// their keys but profile smaller, so a merge that let the larger MinCU win
+// would show. A single-model set shares the recipe's database.
+func TestBuildDBMatchesOnePass(t *testing.T) {
+	a := mustModel(t, "albert")
+	s := mustModel(t, "squeezenet")
+	quick := models.Custom("squeezenet", 0, func(batch int) []kernels.Desc {
+		ks := s.Kernels(batch)
+		for i := range ks {
+			ks[i].Work.WGTime *= 0.1
+		}
+		return ks
+	})
+	spec := gpu.MI50Spec()
+	workers := []WorkerSpec{{Model: quick, Batch: 32}, {Model: a, Batch: 32}, {Model: s, Batch: 32}, {Model: a, Batch: 8}}
+	p := profile.New(profile.Config{Spec: spec, Tolerance: 0.05, LaunchOverhead: 6})
+	want := profile.NewDB()
+	for _, w := range workers {
+		want.Profile(p, w.Model.Kernels(w.Batch))
+	}
+	if got := BuildDB(spec, workers); !reflect.DeepEqual(got, want) {
+		t.Fatal("mixed-worker BuildDB differs from the one-pass build")
+	}
+	if reflect.DeepEqual(BuildDB(spec, []WorkerSpec{workers[0], workers[2]}), BuildDB(spec, []WorkerSpec{workers[2], workers[0]})) {
+		t.Fatal("test kernels do not distinguish merge orders")
+	}
+	one := BuildDB(spec, []WorkerSpec{{Model: a, Batch: 32}, {Model: a, Batch: 32}})
+	if one != a.DB(profile.DefaultConfig(), 32) {
+		t.Fatal("single-model BuildDB did not share the recipe's database")
 	}
 }
