@@ -17,6 +17,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"krisp/internal/core"
 	"krisp/internal/energy"
@@ -184,17 +185,14 @@ func BuildDB(spec gpu.DeviceSpec, workers []WorkerSpec) *profile.DB {
 	if len(workers) == 0 {
 		return profile.NewDB()
 	}
-	first := workers[0]
-	for _, w := range workers[1:] {
-		if w.Model != first.Model || w.Batch != first.Batch {
-			db := profile.NewDB()
-			for _, w := range workers {
-				db.Merge(w.Model.DB(cfg, w.Batch))
-			}
-			return db
-		}
+	if !slices.ContainsFunc(workers, func(w WorkerSpec) bool { return w != workers[0] }) {
+		return workers[0].Model.DB(cfg, workers[0].Batch)
 	}
-	return first.Model.DB(cfg, first.Batch)
+	db := profile.NewDB()
+	for _, w := range workers {
+		db.Merge(w.Model.DB(cfg, w.Batch))
+	}
+	return db
 }
 
 // Run executes one serving experiment and returns windowed measurements.
